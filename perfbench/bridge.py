@@ -9,7 +9,8 @@ object per line, on stdin/stdout:
 * ``{"cmd": "snapshot"}`` -- CPU time, peak RSS and the runtime's counters;
 * ``{"cmd": "trace", "on": true|false}`` -- start/stop recording spans
   (only when started with ``--trace``);
-* ``{"cmd": "stop"}`` -- tear down, write the spans, exit.
+* ``{"cmd": "stop", "spans": path}`` -- tear down, write the spans (traced
+  runs, when a path is given), exit.
 
 The first line it prints is ``{"event": "ready", ...}`` with the set-up
 time: from process start until the models are built, the codecs
@@ -224,7 +225,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--port-base", type=int, required=True)
     parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--spans", default="", help="file the spans are written to")
     args = parser.parse_args()
     from repro.core.errors import NetworkError
 

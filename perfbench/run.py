@@ -46,6 +46,7 @@ sys.path.insert(0, HERE)
 from spans import LAYERS  # noqa: E402
 from workload import (  # noqa: E402
     ANSWERABLE_TYPE,
+    CLOSED_K,
     DEADLINE_S,
     HOST,
     UNANSWERABLE_TYPE,
@@ -65,6 +66,10 @@ BRIDGE_TIMEOUT = 60.0
 #: and the number of open/closed cycles the measured part alternates in.
 WARMUP_SHARE, OPEN_SHARE, CLOSED_SHARE = 0.05, 0.6, 0.35
 CYCLES = 6
+#: Throwaway bridges set up per cycle; ``setup_s`` is the median over them
+#: and the loaded bridge.  One set-up takes under half a second, and the
+#: host's noise moves single set-ups by up to half their time.
+SETUPS_PER_CYCLE = 2
 #: The service URL both co-hosted services advertise.
 SERVICE_URL = f"http://{HOST}:9000/service".encode("ascii")
 OUT_DIR = os.path.join(HERE, "out")
@@ -312,8 +317,10 @@ class PhaseStats:
         self.unanswerable = 0
         self.completed = 0
         self.lost = 0
-        #: Wrong replies: differing from the twin, duplicated, or answering
-        #: an unanswerable lookup.
+        #: Lookups failed by a bad reply: one differing from the twin, a
+        #: second reply, any reply to an unanswerable lookup, or a reply
+        #: with an XID never sent.  A lookup already counted lost is not
+        #: counted again.
         self.wrong = 0
         self.latencies: List[float] = []
         #: perf_counter time of each completion.
@@ -349,7 +356,11 @@ class Generator:
         #: XID -> intended send time of each answerable lookup in flight.
         self.outstanding: Dict[int, float] = {}
         self._deadlines: deque = deque()
-        self.issued: Dict[int, bool] = {}
+        #: XID -> state of each lookup sent: ``outstanding``, ``completed``,
+        #: ``lost`` (no reply by the deadline), ``late`` (a lost lookup
+        #: answered later, correctly), ``unanswerable`` or ``failed`` (a
+        #: bad reply arrived).  Every reply after the first is bad.
+        self.state: Dict[int, str] = {}
         self.lookups_sent = 0
         self.junk_sent = 0
         self.wrong: List[str] = []
@@ -371,14 +382,15 @@ class Generator:
             self.junk_sent += 1
             return
         self.lookups_sent += 1
-        self.issued[item.xid] = item.answerable
         if item.answerable:
             phase.attempted += 1
             phase.lateness.append(now - intended)
+            self.state[item.xid] = "outstanding"
             self.outstanding[item.xid] = intended
             self._deadlines.append((intended + DEADLINE_S, item.xid))
         else:
             phase.unanswerable += 1
+            self.state[item.xid] = "unanswerable"
 
     # -- receiving -----------------------------------------------------
     def poll(self, timeout: float) -> None:
@@ -409,30 +421,46 @@ class Generator:
 
     def _on_reply(self, data: bytes, now: float) -> None:
         xid = xid_of(data)
-        intended = self.outstanding.pop(xid, None) if xid is not None else None
+        state = self.state.get(xid) if xid is not None else None
+        if state is None:
+            self._bad(None, f"reply with unknown XID: {data[:32]!r}")
+            return
+        if state == "unanswerable":
+            self._bad(xid, f"reply to unanswerable lookup {xid}")
+            return
+        if state in ("completed", "late", "failed"):
+            self._bad(xid, f"second reply to XID {xid}: {data!r}")
+            return
+        correct = data == with_xid(self.template, xid)
+        if state == "outstanding":
+            intended = self.outstanding.pop(xid)
+        if not correct:
+            self._bad(xid, f"reply to XID {xid} differs from the twin: {data!r}")
+            return
+        if state == "lost":
+            self.state[xid] = "late"  # already counted as lost
+            return
+        self.state[xid] = "completed"
         phase = self.phase
-        if intended is None:
-            if self.issued.get(xid):
-                return  # a late reply: the lookup already counted as lost
-            if xid in self.issued:
-                self.wrong.append(f"reply to unanswerable lookup {xid}")
-            else:
-                self.wrong.append(f"reply with unknown XID: {data[:32]!r}")
-            phase.wrong += 1
-            return
-        if data != with_xid(self.template, xid):
-            self.wrong.append(f"reply to XID {xid} differs from the twin: {data!r}")
-            phase.wrong += 1
-            return
         phase.completed += 1
         phase.latencies.append(now - intended)
         phase.done_at.append(now)
+
+    def _bad(self, xid: Optional[int], why: str) -> None:
+        """Record a bad reply: it fails the correctness gate, and its
+        lookup counts as failed unless it already has."""
+        self.wrong.append(why)
+        if self.state.get(xid) not in ("lost", "late", "failed"):
+            self.phase.wrong += 1
+        if xid is not None:
+            self.state[xid] = "failed"
 
     def expire(self, now: float) -> None:
         deadlines = self._deadlines
         while deadlines and deadlines[0][0] < now:
             _, xid = deadlines.popleft()
             if self.outstanding.pop(xid, None) is not None:
+                self.state[xid] = "lost"
                 self.phase.lost += 1
 
     def sleep_until(self, until: float) -> None:
@@ -534,7 +562,7 @@ def run_bridge(workload: Workload, seed: int, phases: Sequence[Tuple[str, str, f
 
     An ``open`` phase lasts ``amount`` seconds; a ``closed`` phase sends
     ``amount`` answerable lookups; a ``setup`` phase times the set-up of
-    a throwaway bridge.
+    ``amount`` throwaway bridges, one after another.
 
     Returns each phase's stats with bridge snapshots around it.
     """
@@ -554,7 +582,8 @@ def run_bridge(workload: Workload, seed: int, phases: Sequence[Tuple[str, str, f
         for name, kind, amount in phases:
             if kind == "setup":
                 # While the loaded bridge idles between segments.
-                results["setups"].append(throwaway_setup(workload))
+                for _ in range(int(amount)):
+                    results["setups"].append(throwaway_setup(workload))
                 continue
             traced = trace and name != "warmup"
             if traced:
@@ -563,7 +592,7 @@ def run_bridge(workload: Workload, seed: int, phases: Sequence[Tuple[str, str, f
             if kind in ("warmup", "open"):
                 stats = generator.run_open(name, workload.open_rate, amount, seed)
             else:
-                stats = generator.run_closed(name, workload.closed_k, int(amount), seed)
+                stats = generator.run_closed(name, CLOSED_K, int(amount), seed)
             if traced:
                 bridge.command(cmd="trace", on=False)
             after = bridge.command(cmd="snapshot")
@@ -759,7 +788,7 @@ def context(workload: Workload, ready: Dict[str, Any]) -> Dict[str, Any]:
         "event_loop": ready.get("event_loop"),
         "uvloop": ready.get("uvloop"),
         "open_rate": workload.open_rate,
-        "closed_k": workload.closed_k,
+        "closed_k": CLOSED_K,
         "workers": workload.workers,
         "calibration_ms": calibration_ms(),
         "network": "loopback",
@@ -848,7 +877,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             phases.append((f"open{cycle}", "open", OPEN_SHARE * seconds / CYCLES))
             phases.append((f"closed{cycle}", "closed",
                            CLOSED_SHARE * seconds * workload.closed_rate / CYCLES))
-            phases.append((f"setup{cycle}", "setup", 1))
+            phases.append((f"setup{cycle}", "setup", SETUPS_PER_CYCLE))
         result = run_bridge(workload, args.seed, phases, template)
         runs = [result]
         metrics, reported = end_to_end(result)

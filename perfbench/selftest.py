@@ -41,13 +41,18 @@ from workload import (  # noqa: E402
 
 #: What the stand-in responder answers, with the request's XID spliced in.
 REPLY = b"\x02\x02\x00\x00\x20" + bytes(5) + b"\x00\x00" + b"reply-body-" + bytes(8)
+#: Seconds after which a ``late-corrupt`` answer is sent.
+LATE_S = 0.5
 
 
 class Responder:
     """A loopback UDP responder with scripted stalls, drops and corruption.
 
     ``behaviour(n)`` is asked about the n-th request (from 0) and returns
-    ``"answer"``, ``"drop"``, ``"corrupt"`` or a stall in seconds.
+    ``"answer"``, ``"drop"``, ``"corrupt"``, ``"twice"`` (answer, then
+    answer again), ``"late-corrupt"`` (a corrupted answer after
+    :data:`LATE_S`, without holding up the requests behind it) or a stall
+    in seconds.
     """
 
     def __init__(self, behaviour) -> None:
@@ -58,6 +63,7 @@ class Responder:
         self.sock.settimeout(0.05)
         self.port = self.sock.getsockname()[1]
         self.seen = 0
+        self._timers = []
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -77,14 +83,24 @@ class Responder:
                 time.sleep(action)
                 action = "answer"
             reply = with_xid(REPLY, xid)
-            if action == "corrupt":
+            if action in ("corrupt", "late-corrupt"):
                 reply = reply[:-1] + b"!"
+            if action == "late-corrupt":
+                timer = threading.Timer(LATE_S, self.sock.sendto, (reply, addr))
+                self._timers.append(timer)
+                timer.start()
+                continue
             self.sock.sendto(reply, addr)
+            if action == "twice":
+                self.sock.sendto(reply, addr)
 
     def close(self) -> None:
         self._stop.set()
         self._thread.join(5.0)
         assert not self._thread.is_alive()
+        for timer in self._timers:
+            timer.cancel()
+            timer.join(5.0)
         self.sock.close()
 
 
@@ -206,6 +222,40 @@ def test_lost_and_wrong_replies_count_as_failures(monkeypatch):
     assert attempted == stats.attempted
     assert failed == dropped + corrupted
     assert failures  # the wrong replies fail the run's correctness
+
+
+def test_duplicated_and_late_wrong_replies_fail_the_gates(monkeypatch):
+    monkeypatch.setattr(run, "DEADLINE_S", 0.3)
+
+    def behaviour(n: int):
+        if n % 10 == 2:
+            return "twice"
+        if n == 5:
+            return "late-corrupt"
+        return "answer"
+
+    responder = Responder(behaviour)
+    generator = generator_for(responder)
+    try:
+        stats = generator.run_open("open", 200.0, 0.5, seed=6)
+        # Wait for the late reply, long after its lookup counted as lost.
+        generator.sleep_until(time.perf_counter() + LATE_S)
+    finally:
+        generator.close()
+        responder.close()
+    doubled = sum(1 for n in range(stats.attempted) if n % 10 == 2)
+    assert doubled > 0
+    assert stats.lost == 1
+    # Each duplicated lookup fails once; the late lookup is already lost.
+    assert stats.wrong == doubled
+    assert len(generator.wrong) == doubled + 1
+    assert sum("second reply" in wrong for wrong in generator.wrong) == doubled
+    assert sum("differs" in wrong for wrong in generator.wrong) == 1
+    result = {"phases": {"open": {"stats": stats}}, "gate_failures": run.check_gates(
+        generator, _snapshot(), _snapshot(generator))}
+    attempted, failed, failures = run.outcome([result])
+    assert failed == doubled + 1 <= attempted
+    assert failures
 
 
 def test_any_reply_to_an_unanswerable_lookup_is_a_failure(monkeypatch):

@@ -34,6 +34,9 @@ XID_END = 12
 #: runtime's default stride); the legacy service sits above them.
 SERVICE_PORT_OFFSET = 200
 
+#: Lookups kept outstanding in every workload's ``closed`` phase.
+CLOSED_K = 32
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -46,8 +49,6 @@ class Workload:
     #: Poisson arrival rate of the ``open`` phase, lookups/s (about a
     #: third of the closed-loop saturation measured on a 2-core host).
     open_rate: float
-    #: Lookups kept outstanding in the ``closed`` phase.
-    closed_k: int
     #: Closed-loop saturation measured on a 2-core host, lookups/s; sizes
     #: the ``closed`` phases so a run does a fixed amount of work.
     closed_rate: float
@@ -62,16 +63,15 @@ class Workload:
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("slp-mdns", case=2, workers=2, open_rate=350.0, closed_k=32,
+        Workload("slp-mdns", case=2, workers=2, open_rate=350.0,
                  closed_rate=1050.0),
-        Workload("slp-upnp-tcp", case=1, workers=4, open_rate=140.0, closed_k=32,
+        Workload("slp-upnp-tcp", case=1, workers=4, open_rate=140.0,
                  closed_rate=420.0),
         Workload(
             "slp-mdns-hostile",
             case=2,
             workers=2,
             open_rate=260.0,
-            closed_k=32,
             closed_rate=790.0,
             junk_per_lookup=2,
             unanswerable_share=0.1,
