@@ -67,7 +67,10 @@ so the same code runs unchanged on the discrete-event simulation and on
 the socket engine.  Each completed interaction is recorded as a
 :class:`SessionRecord` attributed to its originating client, which is what
 the performance evaluation measures (time from the first message received
-by the framework to the last translated output sent).
+by the framework to the last translated output sent).  The engine keeps
+the most recent records in a bounded window and counts every session in
+``completed_count``/``evicted_count``, so its memory does not grow with
+the sessions it has served.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -92,6 +96,7 @@ from ...network.engine import NetworkEngine, NetworkNode
 from ..automata.colored import Action, ColoredAutomaton
 from ..automata.merge import DeltaTransition, MergedAutomaton
 from ..errors import ConfigurationError, EngineError, ParseError
+from ..history import append_bounded
 from ..mdl.base import MessageComposer, MessageParser, create_composer, create_parser
 from ..mdl.compiled import (
     PROBE_MATCH,
@@ -308,16 +313,23 @@ class AutomataEngine(NetworkNode, EngineCore):
         self._source_addresses = {
             (endpoint.host, endpoint.port) for endpoint in plan.values()
         }
+        #: The static part of :meth:`translation_context`, built on first use.
+        self._static_context: Optional[Dict[str, Any]] = None
         #: The session currently being advanced (targets λ-actions).
         self._active_session: Optional[SessionContext] = None
         #: True while a sweep event is pending on the network engine.
         self._sweep_scheduled = False
         #: Virtual time the serialised compute resource frees up.
         self._busy_until = 0.0
-        #: Completed sessions, in order of completion.
+        #: The most recent completed sessions, in order of completion (a
+        #: bounded window, see :mod:`repro.core.history`).
         self.sessions: List[SessionRecord] = []
-        #: Sessions abandoned by the idle-timeout sweeper.
+        #: The most recent sessions abandoned by the idle-timeout sweeper.
         self.evicted_sessions: List[SessionRecord] = []
+        #: Sessions completed / evicted since construction (exact counts;
+        #: the record lists above keep only a window).
+        self.completed_count: int = 0
+        self.evicted_count: int = 0
         #: Parse failures observed (timestamp, automaton, error text).
         self.parse_failures: List[Tuple[float, str, str]] = []
         #: Parsed datagrams no session could be found or opened for.
@@ -494,19 +506,27 @@ class AutomataEngine(NetworkNode, EngineCore):
         ``LOCATION`` header) are byte-identical regardless of which worker
         produced them — and follow-up client legs land on the router.
         """
-        advertised_host = self.host
-        if self.public_endpoints:
-            advertised_host = next(iter(self.public_endpoints.values())).host
-        context: Dict[str, Any] = {
-            "bridge_endpoints": {
-                name: (
-                    self.advertised_endpoint(name).host,
-                    self.advertised_endpoint(name).port,
-                )
-                for name in self._bindings
-            },
-            "bridge_host": advertised_host,
-        }
+        static = self._static_context
+        if static is None:
+            # Bindings and advertised endpoints are fixed once the engine
+            # runs, so this part is computed once (read-only, like the
+            # model it describes).
+            advertised_host = self.host
+            if self.public_endpoints:
+                advertised_host = next(iter(self.public_endpoints.values())).host
+            static = self._static_context = {
+                "bridge_endpoints": MappingProxyType(
+                    {
+                        name: (
+                            self.advertised_endpoint(name).host,
+                            self.advertised_endpoint(name).port,
+                        )
+                        for name in self._bindings
+                    }
+                ),
+                "bridge_host": advertised_host,
+            }
+        context: Dict[str, Any] = dict(static)
         if session is not None:
             context["session"] = {
                 "key": session.key,
@@ -1144,7 +1164,8 @@ class AutomataEngine(NetworkNode, EngineCore):
     def _finish_session(self, engine: NetworkEngine, session: SessionContext) -> None:
         if session.record.finished_at == 0.0:
             session.record.finished_at = engine.now()
-        self.sessions.append(session.record)
+        append_bounded(self.sessions, session.record)
+        self.completed_count += 1
         self._close_session(session)
 
     def _close_session(self, session: SessionContext) -> None:
@@ -1195,5 +1216,6 @@ class AutomataEngine(NetworkNode, EngineCore):
         record.evicted = True
         if record.finished_at == 0.0:
             record.finished_at = engine.now()
-        self.evicted_sessions.append(record)
+        append_bounded(self.evicted_sessions, record)
+        self.evicted_count += 1
         self._close_session(session)

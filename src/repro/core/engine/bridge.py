@@ -162,8 +162,14 @@ class StarlinkBridge:
 
     @property
     def sessions(self) -> List[SessionRecord]:
-        """Completed interoperability sessions (empty before deployment)."""
+        """The recent completed interoperability sessions (a bounded window;
+        empty before deployment)."""
         return list(self._engine.sessions) if self._engine is not None else []
+
+    @property
+    def completed_count(self) -> int:
+        """Sessions the deployed engine has completed (0 before deployment)."""
+        return self._engine.completed_count if self._engine is not None else 0
 
     @property
     def active_session_count(self) -> int:

@@ -114,8 +114,12 @@ class EngineCore:
         raise NotImplementedError
 
     # Implementations also expose the statistics the runtime aggregates:
-    # ``sessions`` / ``evicted_sessions`` (lists of SessionRecord),
-    # ``unrouted_datagrams`` / ``ignored_datagrams`` (ints) and
-    # ``parse_failures`` (list of (time, automaton, error) tuples).
+    # ``sessions`` / ``evicted_sessions`` (bounded windows of the most
+    # recent SessionRecords), ``completed_count`` / ``evicted_count``
+    # (exact totals), ``unrouted_datagrams`` / ``ignored_datagrams``
+    # (ints) and ``parse_failures`` (list of (time, automaton, error)
+    # tuples).
     sessions: List[SessionRecord]
     evicted_sessions: List[SessionRecord]
+    completed_count: int
+    evicted_count: int

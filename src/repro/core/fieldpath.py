@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Any, List
 
-from .errors import FieldNotFoundError, MessageError
+from .errors import MessageError
 from .message import AbstractMessage, PrimitiveField, StructuredField
 
 __all__ = ["FieldPath", "parse_xpath", "to_xpath"]
@@ -68,12 +68,13 @@ class FieldPath:
             if not expression:
                 raise MessageError("empty field path")
             self.labels = expression.split(".")
+        self._dotted = ".".join(self.labels)
 
     # ------------------------------------------------------------------
     @property
     def dotted(self) -> str:
         """The dotted form of the path (``URL.port``)."""
-        return ".".join(self.labels)
+        return self._dotted
 
     @property
     def xpath(self) -> str:
@@ -83,10 +84,10 @@ class FieldPath:
     # ------------------------------------------------------------------
     def resolve(self, message: AbstractMessage) -> Any:
         """Return the value of the addressed field in ``message``."""
-        return message[self.dotted]
+        return message[self._dotted]
 
     def exists(self, message: AbstractMessage) -> bool:
-        return message.has(self.dotted)
+        return message.lookup(self._dotted) is not None
 
     def assign(
         self,
@@ -99,9 +100,9 @@ class FieldPath:
         Structured intermediate fields are created as needed; an existing
         primitive field keeps its declared type unless the field is new.
         """
-        dotted = self.dotted
-        if message.has(dotted):
-            field = message.field(dotted)
+        dotted = self._dotted
+        field = message.lookup(dotted)
+        if field is not None:
             if isinstance(field, StructuredField):
                 raise MessageError(
                     f"cannot assign a value to structured field '{dotted}' "

@@ -247,36 +247,39 @@ class AbstractMessage:
                 return f
         return None
 
-    def field(self, path: str) -> Field:
-        """Return the field object addressed by ``path`` (dotted labels)."""
+    def lookup(self, path: str) -> Optional[Field]:
+        """The field object addressed by ``path`` (dotted labels), or
+        ``None`` when there is none (never raises)."""
+        if "." not in path:
+            return self._find(path)
         parts = path.split(".")
-        current: Field
-        found = self._find(parts[0])
-        if found is None:
-            raise FieldNotFoundError(path, self.name)
-        current = found
+        current = self._find(parts[0])
         for part in parts[1:]:
             if not isinstance(current, StructuredField):
-                raise FieldNotFoundError(path, self.name)
-            try:
-                current = current.get(part)
-            except FieldNotFoundError:
-                raise FieldNotFoundError(path, self.name) from None
+                return None
+            for child in current.fields:
+                if child.label == part:
+                    current = child
+                    break
+            else:
+                return None
         return current
+
+    def field(self, path: str) -> Field:
+        """Return the field object addressed by ``path`` (dotted labels)."""
+        found = self.lookup(path)
+        if found is None:
+            raise FieldNotFoundError(path, self.name)
+        return found
 
     def has(self, path: str) -> bool:
         """Return ``True`` when ``path`` resolves to a field of this message."""
-        try:
-            self.field(path)
-            return True
-        except FieldNotFoundError:
-            return False
+        return self.lookup(path) is not None
 
     def get(self, path: str, default: Any = None) -> Any:
         """Return the *value* of a primitive field, or ``default`` if absent."""
-        try:
-            f = self.field(path)
-        except FieldNotFoundError:
+        f = self.lookup(path)
+        if f is None:
             return default
         if isinstance(f, StructuredField):
             return f

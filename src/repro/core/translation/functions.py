@@ -34,6 +34,7 @@ The built-in functions cover what the paper's discovery case studies need:
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Optional, Sequence
 from urllib.parse import urlparse
 
@@ -73,8 +74,9 @@ class TranslationFunctionRegistry:
         """Apply the function ``name`` to ``value``.
 
         Functions receive the value plus keyword-only extras (literal
-        ``arguments`` from the assignment, the engine ``context``, and the
-        source/target message instances); simple functions may ignore them.
+        ``arguments`` from the assignment, the engine ``context`` as a
+        read-only mapping, and the source/target message instances);
+        simple functions may ignore them.
         """
         try:
             function = self._functions[name]
@@ -84,7 +86,7 @@ class TranslationFunctionRegistry:
             return function(
                 value,
                 arguments=tuple(arguments),
-                context=dict(context or {}),
+                context=MappingProxyType(context if context is not None else {}),
                 source=source,
                 target=target,
             )

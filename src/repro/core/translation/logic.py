@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TranslationError
 from ..fieldpath import FieldPath
-from ..message import AbstractMessage
+from ..message import AbstractMessage, StructuredField
 from .functions import TranslationFunctionRegistry, default_translation_registry
 
 __all__ = ["MessageFieldRef", "Assignment", "TranslationLogic"]
@@ -88,6 +88,10 @@ class TranslationLogic:
         self._equivalences: List[Tuple[str, str]] = list(equivalences or [])
         self._assignments: List[Assignment] = list(assignments or [])
         self.functions = functions if functions is not None else default_translation_registry()
+        #: Target message name -> its assignments with pre-parsed source
+        #: and target paths, built on first use; adding an assignment
+        #: clears it.
+        self._plans: Dict[str, Tuple[Tuple[Assignment, FieldPath, FieldPath], ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -110,7 +114,7 @@ class TranslationLogic:
         optional state prefix is separated by a colon, the message and the
         (possibly dotted) field path by the first dot.
         """
-        self._assignments.append(
+        return self.add_assignment(
             Assignment(
                 self._parse_ref(target),
                 self._parse_ref(source),
@@ -118,10 +122,10 @@ class TranslationLogic:
                 tuple(function_arguments),
             )
         )
-        return self
 
     def add_assignment(self, assignment: Assignment) -> "TranslationLogic":
         self._assignments.append(assignment)
+        self._plans.clear()
         return self
 
     @staticmethod
@@ -152,6 +156,18 @@ class TranslationLogic:
         """All assignments whose target is a field of ``target_message``."""
         return [a for a in self._assignments if a.target.message == target_message]
 
+    def _plan(
+        self, target_message: str
+    ) -> Tuple[Tuple[Assignment, FieldPath, FieldPath], ...]:
+        plan = self._plans.get(target_message)
+        if plan is None:
+            plan = tuple(
+                (assignment, assignment.source.path(), assignment.target.path())
+                for assignment in self.assignments_for(target_message)
+            )
+            self._plans[target_message] = plan
+        return plan
+
     def source_messages_for(self, target_message: str) -> List[str]:
         """Message kinds read by the assignments targeting ``target_message``."""
         seen: List[str] = []
@@ -180,7 +196,7 @@ class TranslationLogic:
         :class:`~repro.core.errors.TranslationError`; otherwise the
         assignment is skipped.
         """
-        for assignment in self.assignments_for(target.name):
+        for assignment, source_path, target_path in self._plan(target.name):
             source_instance = instances.get(assignment.source.message)
             if source_instance is None:
                 if assignment.source.message == target.name:
@@ -192,24 +208,28 @@ class TranslationLogic:
                     )
                 else:
                     continue
-            source_path = assignment.source.path()
-            if not source_path.exists(source_instance):
+            source_field = source_instance.lookup(source_path.dotted)
+            if source_field is None:
                 if strict:
                     raise TranslationError(
                         f"source field missing for assignment {assignment}"
                     )
                 continue
-            value = source_path.resolve(source_instance)
+            value: Any = (
+                source_field
+                if isinstance(source_field, StructuredField)
+                else source_field.value
+            )
             if assignment.function:
                 value = self.functions.apply(
                     assignment.function,
                     value,
                     arguments=assignment.function_arguments,
-                    context=context or {},
+                    context=context,
                     source=source_instance,
                     target=target,
                 )
-            assignment.target.path().assign(target, value)
+            target_path.assign(target, value)
         return target
 
     def __repr__(self) -> str:

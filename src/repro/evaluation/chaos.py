@@ -508,7 +508,7 @@ def run_chaos_simulated(
         if (found := client.lookup_result(key)) is not None and found.found
     )
     result.datagrams_dropped = network.dropped - dropped_before
-    result.abandoned_sessions = len(runtime.evicted_sessions)
+    result.abandoned_sessions = runtime.evicted_count
     result.unrouted = runtime.unrouted_datagrams
     result.final_workers = runtime.worker_count
     result.scale_events = list(runtime.scale_events)
@@ -612,7 +612,7 @@ def run_chaos_live(
             for client, key in started
             if (found := client.lookup_result(key)) is not None and found.found
         )
-        result.abandoned_sessions = len(runtime.evicted_sessions)
+        result.abandoned_sessions = runtime.evicted_count
         result.unrouted = runtime.unrouted_datagrams
         result.worker_errors = len(runtime.worker_errors)
         result.final_workers = runtime.worker_count
@@ -1142,7 +1142,7 @@ def run_heal_simulated(
         if (found := client.lookup_result(key)) is not None and found.found
     )
     result.datagrams_dropped = network.dropped - dropped_before
-    result.abandoned_sessions = len(runtime.evicted_sessions)
+    result.abandoned_sessions = runtime.evicted_count
     result.unrouted = runtime.unrouted_datagrams
     result.final_workers = runtime.worker_count
     result.scale_events = list(runtime.scale_events)
@@ -1345,7 +1345,7 @@ def run_heal_live(
             if (found := client.lookup_result(key)) is not None and found.found
         )
         result.datagrams_dropped = network.udp_dropped
-        result.abandoned_sessions = len(runtime.evicted_sessions)
+        result.abandoned_sessions = runtime.evicted_count
         result.unrouted = runtime.unrouted_datagrams
         result.worker_errors = len(runtime.worker_errors)
         result.final_workers = runtime.worker_count

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..bridges.specs import CASE_NAMES
+from ..core.history import HISTORY_WINDOW
 from ..network.latency import CalibratedLatencies
 from ..obs.tracing import Tracer
 from .workloads import (
@@ -144,7 +145,17 @@ def measure_connector_case(
     latencies: Optional[CalibratedLatencies] = None,
     seed: int = 7,
 ) -> Summary:
-    """Translation times of one Starlink connector case (one Fig. 12(b) row)."""
+    """Translation times of one Starlink connector case (one Fig. 12(b) row).
+
+    The samples come from the bridge's session records, which keep the
+    most recent :data:`~repro.core.history.HISTORY_WINDOW` sessions, so
+    ``repetitions`` may not exceed that window.
+    """
+    if repetitions > HISTORY_WINDOW:
+        raise ValueError(
+            f"{repetitions} repetitions exceed the {HISTORY_WINDOW}-session "
+            "record window"
+        )
     scenario = bridged_scenario(case, latencies=latencies, seed=seed)
     results = scenario.run(repetitions)
     failures = [result for result in results if not result.found]
@@ -153,12 +164,14 @@ def measure_connector_case(
             f"{len(failures)} of {repetitions} bridged lookups failed for case {case}"
         )
     assert scenario.bridge is not None
-    sessions = scenario.bridge.sessions
-    if len(sessions) < repetitions:
+    completed = scenario.bridge.completed_count
+    if completed < repetitions:
         raise RuntimeError(
-            f"bridge recorded {len(sessions)} sessions for {repetitions} lookups (case {case})"
+            f"bridge recorded {completed} sessions for {repetitions} lookups (case {case})"
         )
-    samples = [session.translation_time for session in sessions[:repetitions]]
+    samples = [
+        session.translation_time for session in scenario.bridge.sessions[:repetitions]
+    ]
     return summarise(f"{case}. {CASE_NAMES[case]}", samples)
 
 

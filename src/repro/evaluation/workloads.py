@@ -194,7 +194,8 @@ class ConcurrentResult:
     results: List[LookupResult]
     #: Virtual seconds from the first request sent to the last reply received.
     makespan: float
-    #: Translation time of every completed bridge session (seconds).
+    #: Translation time of the completed bridge sessions in the bridge's
+    #: record window (seconds; every session of runs within the window).
     translation_times: List[float]
     #: Engine drop counters after the run (both 0 on a clean run).
     unrouted_datagrams: int = 0
@@ -908,7 +909,7 @@ class ElasticScenario:
             decisions=self.controller.decisions,
             peak_workers=peak,
             final_workers=runtime.worker_count,
-            abandoned_sessions=len(runtime.evicted_sessions),
+            abandoned_sessions=runtime.evicted_count,
             unrouted=runtime.unrouted_datagrams,
             clients=total,
             completed=completed_total,

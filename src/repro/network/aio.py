@@ -51,6 +51,7 @@ from .sockets import (
     FaultInjectorMixin,
     _RECV_BUFFER,
     _TCP_IDLE_TIMEOUT,
+    bind_udp_socket,
 )
 
 __all__ = ["AsyncSocketNetwork", "AsyncFaultyNetwork", "uvloop_available"]
@@ -427,13 +428,7 @@ class AsyncSocketNetwork(NetworkEngine):
         ephemeral ports in the middle of session processing and cannot
         block on its own loop.
         """
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind((endpoint.host, endpoint.port))
-        except OSError:
-            sock.close()
-            raise
+        sock = bind_udp_socket(endpoint.host, endpoint.port)
         sock.setblocking(False)
         actual_port = sock.getsockname()[1]
         binding = _UdpBinding(sock, node, endpoint.host, actual_port)

@@ -47,7 +47,27 @@ __all__ = [
     "FaultInjectorMixin",
     "FaultPlan",
     "loopback_available",
+    "bind_udp_socket",
 ]
+
+
+def bind_udp_socket(host: str, port: int) -> socket.socket:
+    """A UDP socket bound to ``(host, port)``; port 0 lets the kernel pick.
+
+    Fixed ports set ``SO_REUSEADDR`` (quick rebinding).  Kernel-assigned
+    ports must not: Linux may then hand out a port that another
+    ``SO_REUSEADDR`` socket still holds, and two live sessions would share
+    one ephemeral return address, so one of them never sees its reply.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    if port != 0:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        sock.bind((host, port))
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
 def loopback_available() -> bool:
@@ -387,9 +407,7 @@ class SocketNetwork(NetworkEngine):
     def _bind_udp(self, node: NetworkNode, endpoint: Endpoint) -> int:
         """Bind a UDP socket, start its receiver, return the actual port
         (which differs from the requested one only for port 0)."""
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((endpoint.host, endpoint.port))
+        sock = bind_udp_socket(endpoint.host, endpoint.port)
         actual_port = sock.getsockname()[1]
         self._udp_sockets[(endpoint.host, actual_port)] = sock
         self._owned_sockets.setdefault(id(node), []).append(

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.errors import ParseError
+from ..core.history import append_bounded
 from ..core.mdl.base import create_composer, create_parser
 from ..core.mdl.spec import MDLSpec
 from ..core.message import AbstractMessage
@@ -34,18 +35,23 @@ from ..network.engine import NetworkEngine, NetworkNode
 from ..network.latency import LatencyModel
 from ..network.simulated import SimulatedNetwork
 
-__all__ = ["LookupResult", "LegacyService", "LegacyClient", "rng_for", "sample_latency"]
+__all__ = ["LookupResult", "LegacyService", "LegacyClient", "sample_latency"]
 
 
-def rng_for(network: NetworkEngine) -> random.Random:
-    """Use the simulation's seeded generator when available (determinism)."""
-    return getattr(network, "rng", None) or random.Random(0)
+def sample_latency(
+    network: NetworkEngine, model: Optional[LatencyModel], own: random.Random
+) -> float:
+    """One draw of ``model`` (0.0 without one).
 
-
-def sample_latency(network: NetworkEngine, model: Optional[LatencyModel]) -> float:
+    Simulations draw from the network's seeded generator (determinism);
+    live networks have none, so the node draws from its ``own``.  A
+    degenerate model (``high <= low``) needs no generator at all.
+    """
     if model is None:
         return 0.0
-    return model.sample(rng_for(network))
+    if model.high <= model.low:
+        return model.low
+    return model.sample(getattr(network, "rng", None) or own)
 
 
 @dataclass
@@ -85,7 +91,10 @@ class LegacyService(NetworkNode):
         self.parser = create_parser(mdl)
         self.composer = create_composer(mdl)
         self.latency = latency
-        #: Requests handled (message instances), for assertions in tests.
+        #: Latency draws on live networks (simulations use their own).
+        self.rng = random.Random(0)
+        #: The most recent requests handled (message instances, a bounded
+        #: window), for assertions in tests.
         self.handled: List[AbstractMessage] = []
         #: Requests that could not be parsed or matched.
         self.ignored: int = 0
@@ -113,9 +122,9 @@ class LegacyService(NetworkNode):
         if reply is None:
             self.ignored += 1
             return
-        self.handled.append(request)
+        append_bounded(self.handled, request)
         payload = self.composer.compose(reply)
-        delay = sample_latency(engine, self.latency)
+        delay = sample_latency(engine, self.latency, self.rng)
         engine.send(payload, source=self._endpoint, destination=source, delay=delay)
 
     # -- to be overridden -------------------------------------------------
@@ -148,6 +157,8 @@ class LegacyClient(NetworkNode):
         self.parser = create_parser(mdl)
         self.composer = create_composer(mdl)
         self.client_overhead = client_overhead
+        #: Overhead draws on live networks (simulations use their own).
+        self.rng = random.Random(0)
         self._responses: List[Tuple[float, AbstractMessage, Endpoint]] = []
         #: Raw bytes of every response, in arrival order (the evaluation
         #: asserts translated outputs are byte-identical across runtimes).

@@ -15,11 +15,13 @@ that carries the service URL.  Accordingly:
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
 from ...core.errors import NetworkError, ParseError
+from ...core.history import append_bounded
 from ...core.mdl.base import create_composer, create_parser
 from ...core.message import AbstractMessage
 from ...network.addressing import Endpoint, Transport
@@ -86,7 +88,10 @@ class UPnPDevice(NetworkNode):
         self._http_composer = create_composer(http_mdl())
         self.ssdp_latency = ssdp_latency if ssdp_latency is not None else _LATENCIES.ssdp_service
         self.http_latency = http_latency if http_latency is not None else _LATENCIES.http_service
-        #: Requests handled, for assertions: list of (protocol, message name).
+        #: Latency draws on live networks (simulations use their own).
+        self.rng = random.Random(0)
+        #: The most recent requests handled, for assertions: a bounded
+        #: window of (protocol, message name).
         self.handled: List[Tuple[str, str]] = []
 
     # -- NetworkNode ----------------------------------------------------
@@ -119,7 +124,7 @@ class UPnPDevice(NetworkNode):
         search_target = str(request.get("ST", ""))
         if search_target not in ("", "ssdp:all", self.service_type) and not self._matches(search_target):
             return
-        self.handled.append(("SSDP", request.name))
+        append_bounded(self.handled, ("SSDP", request.name))
         reply = AbstractMessage(SSDP_RESP, protocol="SSDP")
         reply.set("Method", "HTTP/1.1")
         reply.set("URI", "200")
@@ -131,7 +136,7 @@ class UPnPDevice(NetworkNode):
         reply.set("ST", search_target or self.service_type)
         reply.set("USN", f"uuid:starlink-test::{self.service_type}")
         payload = self._ssdp_composer.compose(reply)
-        delay = sample_latency(engine, self.ssdp_latency)
+        delay = sample_latency(engine, self.ssdp_latency, self.rng)
         engine.send(payload, source=self._ssdp_endpoint, destination=source, delay=delay)
 
     def _matches(self, search_target: str) -> bool:
@@ -148,7 +153,7 @@ class UPnPDevice(NetworkNode):
             return
         if request.name != HTTP_GET:
             return
-        self.handled.append(("HTTP", request.name))
+        append_bounded(self.handled, ("HTTP", request.name))
         body = description_body(self.service_url)
         reply = AbstractMessage(HTTP_OK, protocol="HTTP")
         reply.set("Method", "HTTP/1.1")
@@ -158,7 +163,7 @@ class UPnPDevice(NetworkNode):
         reply.set("Content-Type", "text/xml")
         reply.set("Body", body)
         payload = self._http_composer.compose(reply)
-        delay = sample_latency(engine, self.http_latency)
+        delay = sample_latency(engine, self.http_latency, self.rng)
         engine.send(payload, source=self._http_endpoint, destination=source, delay=delay)
 
 
@@ -451,7 +456,7 @@ class UPnPControlPoint(LegacyClient):
             deadline = time.monotonic() + timeout
             while self.control_result(token) is None and time.monotonic() < deadline:
                 time.sleep(0.01)
-        overhead = sample_latency(network, self.client_overhead)
+        overhead = sample_latency(network, self.client_overhead, self.rng)
         # The blocking API consumes its control either way: a timed-out one
         # must not swallow a later lookup's SSDP response, and a completed
         # one is harvested into the returned result (repeated lookups on

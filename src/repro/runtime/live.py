@@ -902,8 +902,8 @@ class LiveShardedRuntime(ShardedRuntime):
                 index=index,
                 name=worker.name,
                 active_sessions=len(worker.active_sessions),
-                completed_sessions=len(worker.sessions),
-                evicted_sessions=len(worker.evicted_sessions),
+                completed_sessions=worker.completed_count,
+                evicted_sessions=worker.evicted_count,
                 busy_backlog=worker.busy_backlog(now),
                 draining=draining,
                 queue_depth=loop.queue_depth,

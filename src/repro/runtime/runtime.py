@@ -54,6 +54,7 @@ from ..core.engine.automata_engine import (
 from ..core.engine.bridge import StarlinkBridge
 from ..core.engine.session import SessionCorrelator, SessionRecord
 from ..core.errors import ConfigurationError
+from ..core.history import extend_bounded
 from ..core.mdl.spec import MDLSpec
 from ..network.engine import NetworkEngine
 from ..obs.tracing import (
@@ -197,10 +198,13 @@ class ShardedRuntime:
         #: postmortem bundles.  ``None`` (the default) costs nothing.
         self.journal: Optional[Any] = None
         #: Measurements inherited from workers retired by a drain: their
-        #: completed/evicted records and drop counters keep contributing to
-        #: the aggregate views below after the worker itself is detached.
+        #: completed/evicted records (bounded windows) and counters keep
+        #: contributing to the aggregate views below after the worker
+        #: itself is detached.
         self._retired_sessions: List[SessionRecord] = []
         self._retired_evicted: List[SessionRecord] = []
+        self._retired_completed_count = 0
+        self._retired_evicted_count = 0
         self._retired_parse_failures: List = []
         self._retired_unrouted = 0
         self._retired_ignored = 0
@@ -558,13 +562,15 @@ class ShardedRuntime:
     def _retire_worker(self, worker: AutomataEngine) -> None:
         """Fold a drained worker's measurements into the runtime aggregate.
 
-        Completed :class:`SessionRecord` lists and drop counters must
+        Completed :class:`SessionRecord` windows and the counters must
         survive the worker's detachment — a loss-free resize would
         otherwise *look* lossy in the statistics.
         """
         worker.session_close_listener = None
-        self._retired_sessions.extend(worker.sessions)
-        self._retired_evicted.extend(worker.evicted_sessions)
+        extend_bounded(self._retired_sessions, worker.sessions)
+        extend_bounded(self._retired_evicted, worker.evicted_sessions)
+        self._retired_completed_count += worker.completed_count
+        self._retired_evicted_count += worker.evicted_count
         self._retired_parse_failures.extend(worker.parse_failures)
         self._retired_unrouted += worker.unrouted_datagrams
         self._retired_ignored += worker.ignored_datagrams
@@ -628,8 +634,13 @@ class ShardedRuntime:
 
     @property
     def sessions(self) -> List[SessionRecord]:
-        """Completed sessions across all workers (drain-retired workers
-        included), in completion order."""
+        """The recent completed sessions across all workers (drain-retired
+        workers included), in completion order.
+
+        Each worker and the retired pool keep a bounded window of records
+        (:mod:`repro.core.history`); :attr:`completed_count` is the exact
+        total.
+        """
         records = [record for worker in self._workers for record in worker.sessions]
         records.extend(self._retired_sessions)
         records.sort(key=lambda record: record.finished_at)
@@ -637,12 +648,28 @@ class ShardedRuntime:
 
     @property
     def evicted_sessions(self) -> List[SessionRecord]:
+        """The recent evicted sessions, as :attr:`sessions` (exact total:
+        :attr:`evicted_count`)."""
         records = [
             record for worker in self._workers for record in worker.evicted_sessions
         ]
         records.extend(self._retired_evicted)
         records.sort(key=lambda record: record.finished_at)
         return records
+
+    @property
+    def completed_count(self) -> int:
+        """Sessions completed since construction (drain-retired included)."""
+        return self._retired_completed_count + sum(
+            worker.completed_count for worker in self._workers
+        )
+
+    @property
+    def evicted_count(self) -> int:
+        """Sessions evicted since construction (drain-retired included)."""
+        return self._retired_evicted_count + sum(
+            worker.evicted_count for worker in self._workers
+        )
 
     @property
     def active_session_count(self) -> int:
@@ -728,7 +755,7 @@ class ShardedRuntime:
 
     def worker_session_counts(self) -> List[int]:
         """Completed sessions per worker (the shard-balance view)."""
-        return [len(worker.sessions) for worker in self._workers]
+        return [worker.completed_count for worker in self._workers]
 
     # ------------------------------------------------------------------
     # metrics plane
@@ -773,8 +800,8 @@ class ShardedRuntime:
             index=index,
             name=worker.name,
             active_sessions=len(worker.active_sessions),
-            completed_sessions=len(worker.sessions),
-            evicted_sessions=len(worker.evicted_sessions),
+            completed_sessions=worker.completed_count,
+            evicted_sessions=worker.evicted_count,
             busy_backlog=worker.busy_backlog(now),
             draining=draining,
             worker_id=worker_id,

@@ -121,6 +121,31 @@ class TestAbstractMessage:
         with pytest.raises(FieldNotFoundError):
             message.field("URL.port.deep")
 
+    def test_has_and_get_on_missing_paths_do_not_raise(self, monkeypatch):
+        import repro.core.message as message_module
+
+        message = AbstractMessage("m").set("a", 1)
+        message.set("URL.port", 80)
+
+        def no_raise(*args, **kwargs):
+            raise AssertionError("has/get built a FieldNotFoundError")
+
+        monkeypatch.setattr(message_module, "FieldNotFoundError", no_raise)
+        for missing in ("b", "URL.host", "URL.port.deep", "a.b", "x.y.z"):
+            assert not message.has(missing)
+            assert message.get(missing, "default") == "default"
+            assert message.lookup(missing) is None
+        assert message.get("URL.port") == 80
+        assert isinstance(message.get("URL"), StructuredField)
+        monkeypatch.undo()
+
+        for missing in ("b", "URL.host", "URL.port.deep"):
+            with pytest.raises(FieldNotFoundError) as raised:
+                message.field(missing)
+            assert raised.value.args == (
+                f"field path '{missing}' not found in message 'm'",
+            )
+
     def test_values_flattens_nested_fields(self):
         message = AbstractMessage("m")
         message.set("a", 1)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.network.latency import LatencyModel
+from repro.network.simulated import SimulatedNetwork
+from repro.protocols.common import sample_latency
 from repro.protocols.mdns import BonjourBrowser, BonjourResponder
 from repro.protocols.slp import SLPServiceAgent, SLPUserAgent
 from repro.protocols.upnp import UPnPControlPoint, UPnPDevice, description_body
@@ -136,3 +140,43 @@ class TestUPnPLegacy:
     def test_location_points_at_device_http_endpoint(self, network):
         device = UPnPDevice(http_port=8123)
         assert device.location.endswith(":8123/description.xml")
+
+
+class _LiveEngine:
+    """A network without a seeded generator, as the socket engines are."""
+
+    def __init__(self):
+        self.sent = []
+
+    def now(self):
+        return 0.0
+
+    def send(self, data, source, destination, delay=0.0):
+        self.sent.append((data, source, destination, delay))
+
+
+class TestLatencyDraws:
+    def test_live_service_draws_differ(self):
+        live = _LiveEngine()
+        browser = BonjourBrowser(client_overhead=LatencyModel(0.0, 0.0))
+        browser.start_lookup(live)
+        query, client, group, _ = live.sent.pop()
+        responder = BonjourResponder(latency=LatencyModel(0.0, 1.0))
+        responder.on_datagram(live, query, client, group)
+        responder.on_datagram(live, query, client, group)
+        first, second = (delay for *_, delay in live.sent)
+        assert 0.0 <= first <= 1.0 and 0.0 <= second <= 1.0
+        assert first != second
+
+    def test_simulations_draw_from_the_network_generator(self):
+        model = LatencyModel(0.0, 1.0)
+        own = random.Random(0)
+        network = SimulatedNetwork(seed=3)
+        assert sample_latency(network, model, own) == random.Random(3).uniform(0.0, 1.0)
+        assert own.getstate() == random.Random(0).getstate()
+
+    def test_degenerate_model_draws_nothing(self):
+        own = random.Random(0)
+        assert sample_latency(_LiveEngine(), LatencyModel(0.25, 0.25), own) == 0.25
+        assert sample_latency(_LiveEngine(), None, own) == 0.0
+        assert own.getstate() == random.Random(0).getstate()

@@ -108,6 +108,73 @@ class TestApply:
         assert target["loc"] == "http://bridge.local:4100/description.xml"
 
 
+class TestTranslationPlan:
+    """``apply`` runs a cached per-target plan of pre-parsed paths."""
+
+    def test_assign_after_first_apply_is_picked_up(self):
+        logic = TranslationLogic().assign("Out.x", "In.y")
+        source = {"In": AbstractMessage("In").set("y", 1).set("z", 2)}
+        first = logic.apply(AbstractMessage("Out"), source)
+        assert first.labels() == ["x"]
+        logic.assign("Out.w", "In.z")
+        second = logic.apply(AbstractMessage("Out"), source)
+        assert second["x"] == 1 and second["w"] == 2
+        logic.add_assignment(
+            Assignment(MessageFieldRef("Out", "v"), MessageFieldRef("In", "y"))
+        )
+        assert logic.apply(AbstractMessage("Out"), source)["v"] == 1
+
+    def test_xpath_references_go_through_the_plan(self):
+        logic = TranslationLogic().add_assignment(
+            Assignment(
+                MessageFieldRef("Out", "/field/structuredField[label='URL']"
+                                "/primitiveField[label='port']/value"),
+                MessageFieldRef("In", "/field/primitiveField[label='p']/value"),
+            )
+        )
+        source = {"In": AbstractMessage("In").set("p", 8080)}
+        for _ in range(2):  # the second apply runs the cached plan
+            target = logic.apply(AbstractMessage("Out"), source)
+            assert target["URL.port"] == 8080
+
+    def test_strict_and_missing_source_texts_unchanged(self):
+        logic = TranslationLogic().assign("Out.x", "In.y")
+        with pytest.raises(TranslationError) as missing_instance:
+            logic.apply(AbstractMessage("Out"), {}, strict=True)
+        assert str(missing_instance.value) == (
+            "no instance of source message 'In' available for assignment Out.x = In.y"
+        )
+        with pytest.raises(TranslationError) as missing_field:
+            logic.apply(
+                AbstractMessage("Out"),
+                {"In": AbstractMessage("In").set("q", 1)},
+                strict=True,
+            )
+        assert str(missing_field.value) == "source field missing for assignment Out.x = In.y"
+        lenient = logic.apply(AbstractMessage("Out"), {"In": AbstractMessage("In")})
+        assert lenient.labels() == []
+
+    def test_functions_get_a_read_only_context(self):
+        seen = []
+
+        def grab(value, **extras):
+            seen.append(extras["context"])
+            extras["context"]["bridge_host"] = "elsewhere"
+
+        registry = default_translation_registry()
+        registry.register("grab", grab)
+        logic = TranslationLogic(functions=registry).assign("Out.x", "In.y", "grab")
+        context = {"bridge_host": "bridge.local"}
+        with pytest.raises(TranslationError, match="translation function 'grab' failed"):
+            logic.apply(
+                AbstractMessage("Out"),
+                {"In": AbstractMessage("In").set("y", 1)},
+                context=context,
+            )
+        assert seen[0]["bridge_host"] == "bridge.local"
+        assert context == {"bridge_host": "bridge.local"}
+
+
 class TestTranslationFunctions:
     @pytest.fixture
     def registry(self):
