@@ -330,7 +330,9 @@ class AutomataEngine(NetworkNode, EngineCore):
         #: the record lists above keep only a window).
         self.completed_count: int = 0
         self.evicted_count: int = 0
-        #: Parse failures observed (timestamp, automaton, error text).
+        #: The most recent parse failures (timestamp, automaton, error
+        #: text), a bounded window; ``garbage_rejects`` and the
+        #: discriminator counters stay exact.
         self.parse_failures: List[Tuple[float, str, str]] = []
         #: Parsed datagrams no session could be found or opened for.
         self.unrouted_datagrams: int = 0
@@ -655,7 +657,7 @@ class AutomataEngine(NetworkNode, EngineCore):
                     automaton_name, last_error = name, str(exc)
             if rec is not None:
                 rec.record(trace, STAGE_PARSE, started)
-            target.parse_failures.append((now, automaton_name, last_error or ""))
+            self._record_parse_failure(target, (now, automaton_name, last_error or ""))
             return None
         # Compiled mode: probe each candidate's first-bytes discriminator
         # first.  REJECT is sound (the parser would raise), so rejected
@@ -692,8 +694,9 @@ class AutomataEngine(NetworkNode, EngineCore):
             # span/histogram either — the edge's classify span (or the
             # caller) owns the probe cost.
             target.garbage_rejects += 1
-            target.parse_failures.append(
-                (now, automaton_name, "datagram rejected by first-bytes discriminator")
+            self._record_parse_failure(
+                target,
+                (now, automaton_name, "datagram rejected by first-bytes discriminator"),
             )
             return None
         if rec is not None:
@@ -702,8 +705,21 @@ class AutomataEngine(NetworkNode, EngineCore):
         # them failed: that is still a discriminator miss, so the three
         # outcome counters partition every classified datagram.
         target.discriminator_misses += 1
-        target.parse_failures.append((now, automaton_name, last_error or ""))
+        self._record_parse_failure(target, (now, automaton_name, last_error or ""))
         return None
+
+    def _record_parse_failure(
+        self, target: Any, failure: Tuple[float, str, str]
+    ) -> None:
+        """Log one parse failure on ``target``.
+
+        This engine keeps a bounded window (:mod:`repro.core.history`); a
+        ``counters`` redirect owner (the shard router) keeps its own list.
+        """
+        if target is self:
+            append_bounded(self.parse_failures, failure)
+        else:
+            target.parse_failures.append(failure)
 
     def routing_key(
         self, automaton_name: str, message: AbstractMessage, source: Endpoint
@@ -909,7 +925,9 @@ class AutomataEngine(NetworkNode, EngineCore):
         except ParseError as exc:
             if recorder is not None:
                 recorder.record(self._active_trace, STAGE_PARSE, started)
-            self.parse_failures.append((engine.now(), automaton_name, str(exc)))
+            append_bounded(
+                self.parse_failures, (engine.now(), automaton_name, str(exc))
+            )
             return True
         if recorder is not None:
             recorder.record(self._active_trace, STAGE_PARSE, started)

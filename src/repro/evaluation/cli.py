@@ -10,7 +10,9 @@ published numbers.  This is the same code path the benchmarks use; the
 CLI exists so the headline result can be reproduced without pytest.
 
 ``--table live-sharding`` runs the sweep over **real loopback sockets**
-(thread-per-worker engines, wall-clock timings) and writes the rows to
+(worker loops on one asyncio event loop, wall-clock timings; the speedups
+count parallel *modelled* compute, ``LIVE_PROCESSING_DELAY`` per
+translated send, not CPU) and writes the rows to
 ``BENCH_live_sharding.json`` (directory overridable with
 ``REPRO_BENCH_RESULTS_DIR``).  It is excluded from ``all``: it needs
 permission to bind loopback sockets and measures the machine, not the
@@ -26,8 +28,8 @@ soak test and benchmark print when a seed fails; ``--chaos-live`` adds a
 real-socket run.
 
 ``--table heal`` runs the self-healing sweep: seeded schedules that wedge
-a worker mid-wave (and, live, open real UDP loss windows through a
-:class:`~repro.network.sockets.FaultyNetwork`) while a
+a worker mid-wave (and, live, open real UDP loss windows through an
+:class:`~repro.network.aio.AsyncFaultyNetwork`) while a
 :class:`~repro.runtime.health.FailureDetector` alone must notice,
 quarantine, drain and replace the victim — loss-free and byte-identical
 to the fixed-shard twin.  Writes ``BENCH_heal.json``; ``--seed N``
@@ -310,14 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include a live (real-socket) run in the chaos or heal sweep",
     )
     parser.add_argument(
-        "--live-runtime",
-        choices=["thread", "aio", "both"],
-        default="thread",
-        help="live substrate for the live-sharding, heal and telemetry "
-        "tables: the thread-per-worker runtime, the asyncio event-loop "
-        "runtime, or (live-sharding and heal only) both side by side",
-    )
-    parser.add_argument(
         "--concurrency-case",
         type=int,
         default=2,
@@ -424,7 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seeds=seeds,
                 include_live=args.chaos_live,
                 raise_on_failure=False,
-                live_runtime=args.live_runtime,
             )
         except ValueError as exc:
             print("\n".join(lines).rstrip())
@@ -459,22 +452,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines.append(f"(rows written to {path})")
         lines.append("")
     if args.table == "live-sharding":
-        flavours = (
-            ("thread", "aio")
-            if args.live_runtime == "both"
-            else (args.live_runtime,)
-        )
-        live_rows = []
         try:
-            for flavour in flavours:
-                live_rows.extend(
-                    run_live_sharding(
-                        case=args.concurrency_case,
-                        clients=args.live_clients,
-                        worker_counts=DEFAULT_LIVE_WORKER_COUNTS,
-                        runtime=flavour,
-                    )
-                )
+            live_rows = run_live_sharding(
+                case=args.concurrency_case,
+                clients=args.live_clients,
+                worker_counts=DEFAULT_LIVE_WORKER_COUNTS,
+            )
         except (ValueError, OSError, RuntimeError) as exc:
             print("\n".join(lines).rstrip())
             print(f"error: {exc}", file=sys.stderr)
@@ -515,15 +498,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines.append(f"(sample trace export written to {trace_path})")
         lines.append("")
     if args.table == "telemetry":
-        # Telemetry gates one live substrate per invocation; "both" falls
-        # back to the thread default (run twice to compare substrates).
-        telemetry_runtime = (
-            args.live_runtime if args.live_runtime != "both" else "thread"
-        )
         try:
-            telemetry_result = run_telemetry(
-                case=args.concurrency_case, live_runtime=telemetry_runtime
-            )
+            telemetry_result = run_telemetry(case=args.concurrency_case)
         except (ValueError, RuntimeError, OSError) as exc:
             print("\n".join(lines).rstrip())
             print(f"error: {exc}", file=sys.stderr)

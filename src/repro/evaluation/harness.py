@@ -404,7 +404,7 @@ def run_sharding(
 # ----------------------------------------------------------------------
 # live sharded runtime: the same sweep over real loopback sockets
 # ----------------------------------------------------------------------
-#: Shard counts of the live sweep (each shard is a real worker thread).
+#: Shard counts of the live sweep (each shard is a worker loop task).
 DEFAULT_LIVE_WORKER_COUNTS = (1, 2, 4)
 
 #: Concurrent OS-socket clients held constant across the live sweep.
@@ -423,13 +423,10 @@ class LiveShardingSummary(ShardingSummary):
 
     #: True when every client's raw responses equal the simulated twin's.
     outputs_match_simulated: bool = True
-    #: Which live substrate produced the row: ``thread`` | ``aio``.
-    runtime: str = "thread"
 
     def as_row(self) -> Dict[str, object]:
         row = super().as_row()
         row["outputs_match_simulated"] = self.outputs_match_simulated
-        row["runtime"] = self.runtime
         return row
 
 
@@ -440,30 +437,26 @@ def measure_live_sharded_sessions(
     processing_delay: float = LIVE_PROCESSING_DELAY,
     baseline_throughput: Optional[float] = None,
     seed: int = 7,
-    runtime: str = "thread",
     timeout: float = 15.0,
 ) -> LiveShardingSummary:
     """One live row: ``clients`` OS-socket lookups across ``workers`` shards.
 
-    Runs the live scenario on real loopback sockets — on the
-    thread-per-worker runtime or, with ``runtime="aio"``, the
-    single-event-loop runtime — then its simulated twin (identical
-    topology on the virtual clock), and compares the raw translated bytes
-    every client received: the live deployment must not change a single
-    output byte on either substrate.
+    Runs the live scenario on real loopback sockets, then its simulated
+    twin (identical topology on the virtual clock), and compares the raw
+    translated bytes every client received: the live deployment must not
+    change a single output byte.
     """
     live = live_sharded_scenario(
         case,
         clients=clients,
         workers=workers,
         processing_delay=processing_delay,
-        runtime=runtime,
     )
     result = live.run(timeout=timeout)
     if not result.all_found:
         raise RuntimeError(
             f"{clients - result.completed} of {clients} live lookups failed "
-            f"for case {case} at {workers} workers ({runtime})"
+            f"for case {case} at {workers} workers"
         )
     live_bytes = live.raw_responses_by_client
 
@@ -494,7 +487,6 @@ def measure_live_sharded_sessions(
         unrouted=result.unrouted_datagrams,
         worker_sessions=tuple(live.runtime.worker_session_counts()),
         outputs_match_simulated=outputs_match,
-        runtime=runtime,
     )
 
 
@@ -657,7 +649,6 @@ def run_live_sharding(
     clients: int = DEFAULT_LIVE_CLIENTS,
     worker_counts: Sequence[int] = DEFAULT_LIVE_WORKER_COUNTS,
     processing_delay: float = LIVE_PROCESSING_DELAY,
-    runtime: str = "thread",
     timeout: float = 15.0,
 ) -> List[LiveShardingSummary]:
     """The live sweep: one wall-clock row per shard count, same client load.
@@ -665,8 +656,9 @@ def run_live_sharding(
     Unlike the simulated sweep this measures real elapsed time, so rows
     carry scheduler jitter; the speedup column is still throughput relative
     to the sweep's single-shard row, which runs the identical workload.
-    ``runtime`` picks the live substrate — ``"thread"`` for the
-    thread-per-worker runtime, ``"aio"`` for the event-loop runtime.
+    Each translated send charges ``processing_delay`` seconds of modelled
+    compute, so the speedup counts how many of those timers run in
+    parallel — a capacity model, not a CPU measurement.
     """
     rows: List[LiveShardingSummary] = []
     baseline: Optional[float] = None
@@ -677,7 +669,6 @@ def run_live_sharding(
             workers,
             processing_delay=processing_delay,
             baseline_throughput=baseline,
-            runtime=runtime,
             timeout=timeout,
         )
         if baseline is None:

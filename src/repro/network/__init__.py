@@ -4,7 +4,7 @@ from .addressing import Endpoint, Transport, endpoint_for_color
 from .engine import NetworkEngine, NetworkNode
 from .latency import CalibratedLatencies, LatencyModel, default_latencies
 from .simulated import SimulatedNetwork
-from .sockets import SocketNetwork
+from .aio import AsyncSocketNetwork
 
 __all__ = [
     "Endpoint",
@@ -13,7 +13,7 @@ __all__ = [
     "NetworkEngine",
     "NetworkNode",
     "SimulatedNetwork",
-    "SocketNetwork",
+    "AsyncSocketNetwork",
     "LatencyModel",
     "CalibratedLatencies",
     "default_latencies",

@@ -1,10 +1,10 @@
-"""An asyncio-native socket network engine.
+"""The live network engine: real loopback sockets on one asyncio loop.
 
-This engine implements the same :class:`~repro.network.engine.NetworkEngine`
-contract as :class:`~repro.network.sockets.SocketNetwork` — attach/detach,
-``send``, ``call_later``, late ``bind_endpoint``/``unbind_endpoint``, the
-emulated in-process multicast — but on **one event loop** instead of a
-thread per socket and a thread per timer:
+This engine implements the :class:`~repro.network.engine.NetworkEngine`
+contract the simulation implements — attach/detach, ``send``,
+``call_later``, late ``bind_endpoint``/``unbind_endpoint``, multicast —
+over real BSD sockets, with every socket, timer and node handler on **one
+event loop**:
 
 * **UDP** endpoints become ``asyncio.create_datagram_endpoint`` transports;
   datagrams are dispatched to their owning node *on the loop thread*.
@@ -12,12 +12,16 @@ thread per socket and a thread per timer:
   connection reads a request (until the peer half-closes or a short idle
   timeout expires), dispatches it, and holds the connection open as the
   node's **reply channel** until the (possibly delayed) reply is written.
-  Unlike the thread engine, the channel then loops back for the *next*
-  request on the same connection — pipelined sequential exchanges work.
+  The channel then loops back for the *next* request on the same
+  connection — pipelined sequential exchanges work.  An unanswered
+  connection is closed after ``tcp_reply_timeout`` seconds.
+* **UDP multicast** is *emulated in-process*: joining ``239.x.x.x:p`` adds
+  the node to a local registry and sends to that group fan out directly to
+  the members' real UDP sockets.  True IP multicast is often unavailable
+  in containers and CI runners, and the emulation preserves the delivery
+  semantics the framework relies on.
 * **Timers** are ``loop.call_later`` handles: cheap heap entries pruned on
-  fire, not one OS thread each.  This fixes the thread engine's resource
-  leak at the root — a periodic eviction sweep costs a recycled handle per
-  tick instead of a fresh ``threading.Timer`` thread.
+  fire — a periodic eviction sweep costs a recycled handle per tick.
 
 The public surface is a synchronous, thread-safe facade: the event loop
 runs on a dedicated daemon thread, and calls arriving from other threads
@@ -48,9 +52,9 @@ from .addressing import Endpoint, Transport
 from .engine import NetworkEngine, NetworkNode
 from .sockets import (
     DEFAULT_TCP_REPLY_TIMEOUT,
-    FaultInjectorMixin,
     _RECV_BUFFER,
     _TCP_IDLE_TIMEOUT,
+    FaultPlan,
     bind_udp_socket,
 )
 
@@ -179,8 +183,7 @@ class _AsyncTcpReplyChannel:
     """An accepted TCP connection held open as a node's reply channel.
 
     Loop-thread only: writes and the handler's teardown all run on the
-    event loop, so no lock is needed — the single-threaded-loop invariant
-    replaces the thread engine's per-channel lock.
+    event loop, so no lock is needed (the single-threaded-loop invariant).
     """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
@@ -205,7 +208,7 @@ class _AsyncTcpReplyChannel:
 class AsyncSocketNetwork(NetworkEngine):
     """Network engine backed by real loopback sockets on one event loop."""
 
-    #: Late binds go through the kernel, exactly like the thread engine.
+    #: Late binds go through the kernel (``bind_endpoint`` to port 0).
     kernel_ephemeral_ports = True
 
     def __init__(
@@ -223,15 +226,14 @@ class AsyncSocketNetwork(NetworkEngine):
         self._groups: Dict[Tuple[str, int], Set[NetworkNode]] = {}
         self._owned_sockets: Dict[int, List[Tuple[str, Tuple[str, int]]]] = {}
         self._tcp_replies: Dict[Tuple[str, int], _AsyncTcpReplyChannel] = {}
-        #: Live ``loop.call_later`` handles; pruned on fire (the leak fix
-        #: the thread engine needed is structural here).
+        #: Live ``loop.call_later`` handles; pruned on fire.
         self._timers: Set[asyncio.TimerHandle] = set()
         #: In-flight loop tasks (TCP dials, transport installs, accepted
         #: connection handlers) — cancelled on close.
         self._tasks: Set["asyncio.Task"] = set()
         self.tcp_replies_dropped = 0
         #: Exceptions from node handlers and fire-and-forget sends on the
-        #: loop; inspect after a run, like ``SocketNetwork.errors``.
+        #: loop; inspect after a run.
         self.errors: List[BaseException] = []
         self._lock = threading.Lock()
         self._dispatch_owner = threading.local()
@@ -294,7 +296,7 @@ class AsyncSocketNetwork(NetworkEngine):
             future.cancel()
             raise NetworkError("event loop did not respond in time") from exc
 
-    # -- dispatch-owner bookkeeping (mirrors SocketNetwork) ------------
+    # -- dispatch-owner bookkeeping --------------------------------------
     def _current_owner(self) -> Optional[NetworkNode]:
         return getattr(self._dispatch_owner, "node", None)
 
@@ -340,8 +342,8 @@ class AsyncSocketNetwork(NetworkEngine):
         def run() -> None:
             if handle_box:
                 self._timers.discard(handle_box[0])
-            # Same guards as the thread engine: no firing into a closed
-            # engine, no stale callbacks on behalf of a detached node.
+            # No firing into a closed engine, no stale callbacks on
+            # behalf of a detached node.
             if not self._running or self._owner_detached(owner):
                 return
             try:
@@ -373,7 +375,7 @@ class AsyncSocketNetwork(NetworkEngine):
         Port release is synchronous (the close is marshalled onto the loop
         and waited for), so a failed deployment can unwind and retry on
         the same endpoints immediately.  Timers the node scheduled become
-        no-ops (same contract as the thread engine).
+        no-ops.
         """
         if node not in self._nodes:
             return
@@ -526,9 +528,9 @@ class AsyncSocketNetwork(NetworkEngine):
         """Read one request; returns ``(request, eof)``.
 
         ``request`` is ``None`` when no further request arrived (the
-        pipelined handler then closes the drained connection).  The first
-        read mirrors the thread engine — an idle connection dispatches an
-        empty request after one idle period; later reads wait up to the
+        pipelined handler then closes the drained connection).  On the
+        first read an idle connection dispatches an empty request after
+        one idle period; later reads wait up to the
         reply timeout for the next pipelined request.
         """
         chunks: List[bytes] = []
@@ -594,8 +596,8 @@ class AsyncSocketNetwork(NetworkEngine):
                         del self._tcp_replies[peer_key]
                     channel.retire()
                 if not answered or eof:
-                    # Unanswered: close like the thread engine (the client
-                    # sees EOF).  Answered + peer half-closed: drained.
+                    # Unanswered: close (the client sees EOF).
+                    # Answered + peer half-closed: drained.
                     break
                 try:
                     await writer.drain()
@@ -633,8 +635,8 @@ class AsyncSocketNetwork(NetworkEngine):
 
     async def _send_async(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
         if (not destination.is_multicast) and destination.transport == Transport.TCP:
-            # Blocking semantics for off-loop callers, mirroring the
-            # thread engine: the dial's failure raises to the sender.
+            # Blocking semantics for off-loop callers: the dial's
+            # failure raises to the sender.
             await self._send_tcp(data, source, destination)
             return
         self._send_now(data, source, destination)
@@ -785,13 +787,22 @@ class AsyncSocketNetwork(NetworkEngine):
         self.close()
 
 
-class AsyncFaultyNetwork(FaultInjectorMixin, AsyncSocketNetwork):
+class AsyncFaultyNetwork(AsyncSocketNetwork):
     """An :class:`AsyncSocketNetwork` with seeded UDP fault injection.
 
-    Same :class:`~repro.network.sockets.FaultInjectorMixin` decoration over
-    ``_send_udp`` as the thread engine's ``FaultyNetwork`` — identical
-    seeding, identical window semantics, so chaos schedules replay
-    byte-for-byte across both substrates.
+    While a **loss window** is open, every outgoing UDP datagram draws a
+    verdict from the window's :class:`~repro.network.sockets.FaultPlan`:
+    dropped, duplicated, reordered (held back one slot and sent after the
+    *next* datagram) or passed through.  Outside a window the engine is
+    byte-for-byte the plain engine: no verdict is drawn, nothing is
+    counted, and closing a window flushes any held datagram, so faults
+    can never leak past the window bounds (the bounds tests pin this).
+
+    TCP and the receive path are untouched — the injector models a lossy
+    UDP segment, which is the fault the paper's discovery protocols
+    actually face.  Verdicts and the one-slot holdback are serialised
+    under a dedicated lock: the loop thread sends while control threads
+    open and close windows.
     """
 
     def __init__(
@@ -807,4 +818,85 @@ class AsyncFaultyNetwork(FaultInjectorMixin, AsyncSocketNetwork):
         super().__init__(
             host=host, tcp_reply_timeout=tcp_reply_timeout, use_uvloop=use_uvloop
         )
-        self._init_fault_state(seed, loss, duplicate, reorder)
+        self.seed = seed
+        self.loss = loss
+        self.duplicate = duplicate
+        self.reorder = reorder
+        #: Windows opened so far; each gets its own freshly-seeded plan.
+        self.windows_opened = 0
+        #: Fault counters across all windows.
+        self.udp_dropped = 0
+        self.udp_duplicated = 0
+        self.udp_reordered = 0
+        #: ``(window, verdict)`` for every in-window datagram, in order.
+        self.decisions: List[Tuple[int, str]] = []
+        self._plan: Optional[FaultPlan] = None
+        self._held: Optional[Tuple[bytes, Endpoint, Endpoint]] = None
+        self._fault_lock = threading.Lock()
+
+    @property
+    def window_open(self) -> bool:
+        return self._plan is not None
+
+    def open_loss_window(self) -> FaultPlan:
+        """Start injecting faults; returns the window's plan.
+
+        Seeded from ``(seed, window_index)``, so traces are reproducible
+        per window regardless of traffic between windows.  Opening while
+        a window is already open is an error — nested windows would make
+        the per-window seeding ambiguous.
+        """
+        with self._fault_lock:
+            if self._plan is not None:
+                raise ConfigurationError("a loss window is already open")
+            self._plan = FaultPlan(
+                self.seed,
+                self.windows_opened,
+                loss=self.loss,
+                duplicate=self.duplicate,
+                reorder=self.reorder,
+            )
+            self.windows_opened += 1
+            return self._plan
+
+    def close_loss_window(self) -> None:
+        """Stop injecting faults and flush any held (reordered) datagram.
+
+        Closing an already-closed window is a no-op, so harness cleanup
+        paths can close unconditionally.
+        """
+        with self._fault_lock:
+            self._plan = None
+            held, self._held = self._held, None
+        if held is not None:
+            data, source, destination = held
+            super()._send_udp(data, source, destination)
+
+    def _send_udp(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
+        with self._fault_lock:
+            plan = self._plan
+            if plan is None:
+                # Outside a window: pure pass-through (no draw, no count).
+                # Send under the lock so a concurrent close's flush cannot
+                # overtake a datagram already committed as "pass".
+                super()._send_udp(data, source, destination)
+                return
+            verdict = plan.draw()
+            self.decisions.append((plan.window, verdict))
+            if verdict == "drop":
+                self.udp_dropped += 1
+                return
+            if verdict == "reorder" and self._held is None:
+                # Hold this datagram one slot: the *next* send goes out
+                # first, then the held one follows (a one-slot swap).
+                self._held = (data, source, destination)
+                self.udp_reordered += 1
+                return
+            held, self._held = self._held, None
+            super()._send_udp(data, source, destination)
+            if verdict == "dup":
+                self.udp_duplicated += 1
+                super()._send_udp(data, source, destination)
+            if held is not None:
+                held_data, held_source, held_destination = held
+                super()._send_udp(held_data, held_source, held_destination)

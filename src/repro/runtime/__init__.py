@@ -14,9 +14,12 @@ and *elasticity*:
   N worker engines around one read-only behaviour model, aggregates their
   sessions and statistics, and resizes the pool loss-free (shrinking
   *drains*: no new keys, wait for the session table to empty, detach);
-* :class:`~repro.runtime.live.LiveShardedRuntime` — the same deployment on
-  real loopback sockets, one thread-per-worker event loop each, behind a
-  :class:`~repro.runtime.live.LiveShardRouter`; rebalances in place too;
+* :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` — the same
+  deployment on real loopback sockets: every worker is an
+  :class:`~repro.runtime.aio_live.AsyncWorkerLoop` task on one asyncio
+  event loop, behind an :class:`~repro.runtime.aio_live.AsyncShardRouter`;
+  rebalances in place too (``repro.runtime.live`` holds its per-worker
+  node adapters);
 * :mod:`~repro.runtime.metrics` — :class:`ShardMetrics` load snapshots
   (session tables, compute backlogs, queue depths, router dispatch cost);
 * :mod:`~repro.runtime.elastic` — the control plane: an
@@ -24,8 +27,7 @@ and *elasticity*:
   timers (:class:`ElasticController`) or a control thread
   (:class:`LiveElasticController`).
 
-See docs/architecture.md and ROADMAP.md ("Concurrency model") for the
-invariants.
+See docs/architecture.md for the invariants.
 """
 
 from .elastic import (
@@ -45,7 +47,7 @@ from .health import (
     wedge_live_worker,
     wedge_simulated_worker,
 )
-from .live import LiveShardedRuntime, LiveShardRouter, WorkerLoop
+from .aio_live import AsyncLiveShardedRuntime, AsyncShardRouter, AsyncWorkerLoop
 from .metrics import RouterMetrics, ShardMetrics, WorkerMetrics
 from .router import ShardRouter
 from .runtime import DEFAULT_WORKERS, VICTIM_STRATEGIES, ScaleEvent, ShardedRuntime
@@ -58,9 +60,9 @@ __all__ = [
     "ShardRouter",
     "ShardedRuntime",
     "ScaleEvent",
-    "LiveShardRouter",
-    "LiveShardedRuntime",
-    "WorkerLoop",
+    "AsyncShardRouter",
+    "AsyncLiveShardedRuntime",
+    "AsyncWorkerLoop",
     "DEFAULT_WORKERS",
     "ShardMetrics",
     "WorkerMetrics",

@@ -1,66 +1,37 @@
-"""Live sharded deployment: thread-per-worker engines over real sockets.
+"""Per-worker node adapters of the live sharded runtime.
 
-:class:`~repro.runtime.runtime.ShardedRuntime` proves the sharding design
-on the discrete-event simulation, where every hand-off is an event on one
-virtual clock.  This module deploys the *same objects* — the same read-only
-merged automaton, the same worker :class:`AutomataEngine` instances, the
-same sticky :class:`~repro.runtime.sharding.HashRing` routing — on a
-:class:`~repro.network.sockets.SocketNetwork`, where traffic is real
-UDP/TCP datagrams on the loopback interface and time is the wall clock.
+:class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` deploys the
+*same objects* as the simulated
+:class:`~repro.runtime.runtime.ShardedRuntime` — the same read-only merged
+automaton, the same worker :class:`AutomataEngine` instances, the same
+sticky :class:`~repro.runtime.sharding.HashRing` routing — on an
+:class:`~repro.network.aio.AsyncSocketNetwork`.  Each worker engine runs
+behind a worker loop (a queue drained by a task on the network's event
+loop), and three small adapters connect it to the network without ever
+running the engine outside that queue:
 
-The concurrency model mirrors a process-per-shard deployment:
+* :class:`_WorkerEngineView` — the network as the worker sees it: sends
+  pass straight through, ``call_later`` callbacks are re-posted onto the
+  worker's queue, and per-session ephemeral sockets are bound on behalf
+  of the loop's forwarder;
+* :class:`_LoopForwarder` — owner of a worker's late-bound (ephemeral)
+  sockets, posting every datagram they receive onto the worker's queue;
+* :class:`_WorkerShell` — the node actually attached for one worker,
+  owning its unicast endpoints and posting their datagrams likewise.
 
-* every worker engine gets a **dedicated thread** draining a thread-safe
-  queue of deliveries (its "event loop"); all mutations of a worker's
-  session table happen on that thread, so the engines need no internal
-  locking — exactly as on the simulation, where each worker drains its own
-  event queue;
-* the :class:`LiveShardRouter` receives the bridge's public traffic on the
-  socket engine's receiver threads, classifies each datagram once, and
-  **posts keyed deliveries to the owning worker's queue**.  Fan-out
-  deliveries (multicast on a non-initial colour group, later client legs
-  such as a UPnP control point's HTTP GET) must try the shards in the
-  strict-then-lenient order, so they run on the router's thread and
-  synchronise with each worker loop through the loop's re-entrant lock;
-* timers the engines set (eviction sweeps, delayed sends re-entering the
-  engine) are re-routed onto the owning worker's queue by a per-worker
-  **engine view**, so a ``threading.Timer`` callback never touches a
-  worker's state from a foreign thread.
-
-Lock order: ``LiveShardRouter._route_lock`` → ``WorkerLoop.lock`` →
-``LiveShardRouter._stats_lock``.  A thread may skip levels but never
-acquire a higher-level lock while holding a lower one; in particular the
-routed/unrouted counters live under their own leaf lock precisely so that
-a worker-loop thread (which holds its ``loop.lock`` while running keyed
-deliveries) never needs the route lock a receiver thread may hold while
-waiting for that same ``loop.lock`` on the inline fan-out path.
-
-Translated outputs are byte-identical to the simulated deployment at any
-shard count: workers advertise the router's public endpoints in
-translation context either way, and the evaluation's live benchmark
-(`benchmarks/bench_live_sharding.py`) asserts the equality against a
-simulated twin of the same topology.
+The constants below are the live runtime's port layout and teardown and
+drain bounds.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from dataclasses import replace
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List
 
-from ..core.engine.automata_engine import AutomataEngine
-from ..core.errors import ConfigurationError, EngineError
 from ..network.addressing import Endpoint
 from ..network.engine import NetworkEngine, NetworkNode
-from ..obs.tracing import STAGE_QUEUE_WAIT, Tracer
-from .metrics import WorkerMetrics
-from .router import ShardRouter
-from .runtime import DEFAULT_WORKERS, ShardedRuntime
 
-__all__ = ["WorkerLoop", "LiveShardRouter", "LiveShardedRuntime"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .aio_live import AsyncWorkerLoop
 
 #: Sentinel shutting a worker loop down.
 _STOP = object()
@@ -70,16 +41,16 @@ _STOP = object()
 #: host address and only ports distinguish the nodes.
 DEFAULT_WORKER_PORT_STRIDE = 16
 
-#: Seconds :meth:`LiveShardedRuntime.undeploy` waits for each worker-loop
-#: thread to drain and exit before recording the straggler as an error.
+#: Seconds undeploy waits for each worker loop to drain and exit before
+#: recording the straggler as an error.
 UNDEPLOY_JOIN_TIMEOUT = 5.0
 
 #: Wall seconds a live drain waits between completion checks (the worker
 #: loops also notify after every job, so this is only the fallback).
 LIVE_DRAIN_POLL_INTERVAL = 0.02
 
-#: Default wall-clock bound on a live drain before :meth:`scale_to` gives
-#: up and restores full ring membership.  Generous: idle-session eviction
+#: Default wall-clock bound on a live drain before ``scale_to`` gives up
+#: and restores full ring membership.  Generous: idle-session eviction
 #: (default 30 s) guarantees progress well inside it.
 DEFAULT_LIVE_DRAIN_TIMEOUT = 60.0
 
@@ -90,10 +61,10 @@ class _WorkerEngineView(NetworkEngine):
 
     ``call_later`` re-posts the callback onto the worker's queue when the
     delay expires, so everything the engine schedules (eviction sweeps)
-    executes on the worker's own thread instead of a timer thread.
+    executes as a job of the worker's own loop.
     """
 
-    def __init__(self, network: NetworkEngine, loop: "WorkerLoop") -> None:
+    def __init__(self, network: NetworkEngine, loop: "AsyncWorkerLoop") -> None:
         self._network = network
         self._loop = loop
 
@@ -121,8 +92,7 @@ class _WorkerEngineView(NetworkEngine):
         """Bind a per-session ephemeral endpoint, datagrams coming home.
 
         The socket is registered to the loop's forwarder node, so replies
-        received on it are posted onto the worker's queue instead of
-        running the engine on a socket receiver thread.  Returns the
+        received on it are posted onto the worker's queue.  Returns the
         actually-bound :class:`Endpoint`, or ``None`` when the substrate
         cannot bind late.
         """
@@ -147,7 +117,7 @@ class _LoopForwarder(NetworkNode):
     """Owner of a worker's late-bound (ephemeral) sockets: every datagram
     received on them is posted onto the worker's queue."""
 
-    def __init__(self, loop: "WorkerLoop") -> None:
+    def __init__(self, loop: "AsyncWorkerLoop") -> None:
         self._loop = loop
         self.name = f"{loop.worker.name}.ephemeral"
 
@@ -164,130 +134,15 @@ class _LoopForwarder(NetworkNode):
         )
 
 
-class WorkerLoop:
-    """One worker engine's event loop: a queue drained by a dedicated thread.
-
-    All keyed deliveries, upstream datagrams and engine timers for the
-    worker run as jobs on this thread.  Fan-out deliveries from the router
-    run on the router's thread instead but take :attr:`lock` around each
-    dispatch, so the worker's state is only ever touched under the lock
-    (the loop thread holds it while running jobs).
-    """
-
-    def __init__(self, worker: AutomataEngine, network: NetworkEngine) -> None:
-        self.worker = worker
-        self.lock = threading.RLock()
-        self._jobs: "queue.SimpleQueue" = queue.SimpleQueue()
-        self.view = _WorkerEngineView(network, self)
-        #: Node owning this worker's late-bound ephemeral sockets.
-        self.forwarder = _LoopForwarder(self)
-        #: Exceptions raised by jobs (fail loudly in tests, keep serving).
-        self.errors: List[BaseException] = []
-        #: Seconds threads spent waiting for :attr:`lock` (contention
-        #: between the loop thread and router fan-out), and jobs run.
-        #: Mutated only while holding the lock, read for metrics.
-        self.lock_wait_seconds = 0.0
-        self.jobs_executed = 0
-        #: ``time.monotonic()`` of the last job this loop *finished* (the
-        #: same clock as ``SocketNetwork.now()``, so snapshot ages are a
-        #: plain subtraction).  Written only by the loop thread, read
-        #: lock-free for metrics: a wedged loop cannot be asked politely,
-        #: so the liveness signal must not require its lock.
-        self.heartbeat_at = time.monotonic()
-        #: Notified after every job, so a drain waiter observes session
-        #: completions promptly instead of polling blind.
-        self._progress = threading.Condition()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name=f"worker-loop:{worker.name}"
-        )
-        self._started = False
-
-    def start(self) -> None:
-        if not self._started:
-            self._started = True
-            self.heartbeat_at = time.monotonic()
-            self._thread.start()
-
-    def stop(self) -> None:
-        """Ask the loop thread to exit once the queued jobs have drained."""
-        if self._started:
-            self._jobs.put(_STOP)
-
-    def join(self, timeout: float | None = None) -> bool:
-        """Wait for the loop thread to exit; ``True`` if it did.
-
-        Call after :meth:`stop`: the thread drains every job queued before
-        the stop sentinel, so :attr:`errors` is complete once this returns
-        ``True``.
-        """
-        if not self._started:
-            return True
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
-    def post(self, job: Callable[[], None], trace: int = 0) -> None:
-        """Enqueue ``job`` to run on the worker's thread.
-
-        ``trace`` is the :mod:`repro.obs` trace id of the datagram the job
-        delivers (0 for timers and untraced traffic); the loop measures
-        queue wait — post to dequeue — for every job into the worker's
-        stage histograms, and emits a span when the trace is sampled.
-        """
-        self._jobs.put((job, trace, perf_counter()))
-
-    @property
-    def queue_depth(self) -> int:
-        """Jobs waiting in the queue (approximate; a metrics signal)."""
-        return self._jobs.qsize()
-
-    def wait_progress(self, timeout: float) -> None:
-        """Block up to ``timeout`` seconds for the loop to finish a job.
-
-        Drain waiters use this instead of sleeping: a completing session
-        wakes them immediately, the timeout is only the fallback for
-        progress made outside the loop (router-thread fan-out dispatch).
-        """
-        with self._progress:
-            self._progress.wait(timeout)
-
-    def _run(self) -> None:
-        while True:
-            item = self._jobs.get()
-            if item is _STOP:
-                return
-            job, trace, posted = item
-            dequeued = perf_counter()
-            with self.lock:
-                self.lock_wait_seconds += perf_counter() - dequeued
-                # Queue wait is recorded under the lock so this recorder
-                # only ever has one writer at a time (engine spans from
-                # fan-out dispatch run on the router thread, also under
-                # this lock); the wait itself is post → dequeue, measured
-                # before the lock so lock contention stays a separate
-                # signal (lock_wait_seconds).
-                recorder = getattr(self.worker, "_recorder", None)
-                if recorder is not None:
-                    recorder.record_wait(trace, STAGE_QUEUE_WAIT, posted, dequeued)
-                try:
-                    job()
-                except Exception as exc:  # noqa: BLE001 - keep the loop alive
-                    self.errors.append(exc)
-                finally:
-                    self.jobs_executed += 1
-            self.heartbeat_at = time.monotonic()
-            with self._progress:
-                self._progress.notify_all()
-
-
 class _WorkerShell(NetworkNode):
     """The node actually attached to the socket engine for one worker.
 
     It owns the worker's unicast endpoints (so upstream replies land on
     real sockets) but forwards every datagram onto the worker's queue; the
-    worker engine itself never runs on a socket receiver thread.
+    worker engine itself never runs outside its loop.
     """
 
-    def __init__(self, loop: WorkerLoop) -> None:
+    def __init__(self, loop: "AsyncWorkerLoop") -> None:
         self._loop = loop
         self.name = f"{loop.worker.name}.shell"
 
@@ -311,651 +166,4 @@ class _WorkerShell(NetworkNode):
         loop = self._loop
         loop.post(
             lambda: loop.worker.on_datagram(loop.view, data, source, destination)
-        )
-
-
-class LiveShardRouter(ShardRouter):
-    """The shard router on real sockets: same routing, thread-safe edges.
-
-    The routing logic — classify once, sticky consistent-hash placement,
-    strict-then-lenient fan-out, worker-echo drop — is inherited unchanged
-    from :class:`~repro.runtime.router.ShardRouter`.  What changes is the
-    execution substrate:
-
-    * datagrams arrive on the socket engine's receiver threads, so the
-      router's routing state (sticky table, echo counter) is guarded by
-      ``_route_lock``;
-    * keyed deliveries are posted to the owning worker's
-      :class:`WorkerLoop` queue — the live analogue of the simulation's
-      fresh ``call_later`` event per hand-off;
-    * fan-out deliveries run on the router's thread (the strict pass over
-      every shard must complete before the lenient pass starts) and take
-      each worker's loop lock around the dispatch;
-    * the routed/unrouted counters are guarded by a **separate leaf lock**
-      (``_stats_lock``), never held while acquiring anything else.  Keyed
-      deliveries record their outcome on worker-loop threads *while
-      holding that worker's loop lock*; guarding the counters with
-      ``_route_lock`` instead would close a cycle against a receiver
-      thread that holds ``_route_lock`` and waits for the same loop lock
-      on the inline fan-out path — a lock-order-inversion deadlock.  Lock
-      order: ``_route_lock`` → ``loop.lock`` → ``_stats_lock``.
-    """
-
-    def __init__(
-        self,
-        workers: Sequence[AutomataEngine],
-        public_endpoints: Dict[str, Endpoint],
-        loops: Sequence[WorkerLoop],
-        name: str = "live-shard-router",
-        prune_interval: float = 15.0,
-        worker_ids: Optional[Sequence[int]] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self._loops: Dict[int, WorkerLoop] = {
-            id(loop.worker): loop for loop in loops
-        }
-        self._route_lock = threading.RLock()
-        # Leaf lock for the routed/unrouted counters: worker-loop threads
-        # record keyed outcomes while holding their loop lock, so the
-        # counters must not share _route_lock (see the class docstring).
-        self._stats_lock = threading.Lock()
-        super().__init__(
-            workers,
-            public_endpoints,
-            hop_delay=0.0,
-            prune_interval=prune_interval,
-            name=name,
-            worker_ids=worker_ids,
-            tracer=tracer,
-        )
-
-    def _loop_for(self, worker: AutomataEngine) -> WorkerLoop:
-        try:
-            return self._loops[id(worker)]
-        except KeyError:
-            raise ConfigurationError(
-                f"worker '{worker.name}' has no live worker loop"
-            ) from None
-
-    def set_workers(
-        self,
-        workers: Sequence[AutomataEngine],
-        worker_ids: Optional[Sequence[int]] = None,
-    ) -> None:
-        # The live scale_to calls this from the control thread while
-        # receiver threads route under _route_lock; the sticky-table
-        # rebuild and ring swap must not race their `_sticky[key] = id`
-        # writes (the RLock makes the construction-time call safe too).
-        with self._route_lock:
-            for worker in workers:
-                if id(worker) not in self._loops:
-                    raise ConfigurationError(
-                        f"worker '{worker.name}' has no live worker loop"
-                    )
-            super().set_workers(workers, worker_ids)
-
-    # -- live rebalancing: loop registry maintenance ----------------------
-    def add_loop(self, loop: WorkerLoop) -> None:
-        """Register a freshly-started worker loop (live scale-up)."""
-        with self._route_lock:
-            self._loops[id(loop.worker)] = loop
-
-    def remove_loop(self, loop: WorkerLoop) -> None:
-        """Forget a drained worker's loop (live scale-down)."""
-        with self._route_lock:
-            self._loops.pop(id(loop.worker), None)
-
-    def begin_drain(self, worker_ids) -> None:
-        with self._route_lock:
-            super().begin_drain(worker_ids)
-
-    def cancel_drain(self) -> None:
-        with self._route_lock:
-            super().cancel_drain()
-
-    def drain_pending(self, worker_id) -> bool:
-        # Runs on the draining (control) thread; flushing closed keys
-        # probes worker session tables, so the lock order is the documented
-        # route_lock → loop.lock.
-        with self._route_lock:
-            return super().drain_pending(worker_id)
-
-    def metrics(self):
-        with self._route_lock:
-            return super().metrics()
-
-    # -- thread-safe edges over the inherited routing ---------------------
-    def on_datagram(
-        self,
-        engine: NetworkEngine,
-        data: bytes,
-        source: Endpoint,
-        destination: Endpoint,
-    ) -> None:
-        waited = perf_counter()
-        with self._route_lock:
-            # Accumulated under the lock itself, so writers never race:
-            # the route lock's contention under many receiver threads is
-            # the live analogue of the router's serial dispatch cost.
-            self.route_lock_wait_seconds += perf_counter() - waited
-            super().on_datagram(engine, data, source, destination)
-
-    def _hand_off(
-        self,
-        engine: NetworkEngine,
-        worker,
-        deliver,
-        delay: float = 0.0,
-        trace: int = 0,
-    ) -> None:
-        # ``delay`` (the simulated routing_delay charge) is ignored: on
-        # real sockets the router's cost is *measured* wall time, not a
-        # modelled virtual charge.  The trace rides on the posted job so
-        # the worker loop attributes the real queue wait to it (the base
-        # class's virtual-clock wait measurement never runs here).
-        if worker is not None:
-            self._loop_for(worker).post(deliver, trace)
-        else:
-            # Fan-out: the strict pass over all shards must finish before
-            # the lenient pass starts, so it cannot be split across worker
-            # queues; _dispatch_to takes each worker's lock instead.
-            deliver()
-
-    def _dispatch_to(
-        self,
-        worker,
-        engine: NetworkEngine,
-        automaton_name: str,
-        message,
-        source: Endpoint,
-        strict: bool = False,
-        trace: int = 0,
-    ) -> bool:
-        try:
-            loop = self._loop_for(worker)
-        except ConfigurationError:
-            # Defence in depth for fan-out racing a teardown: a pass that
-            # captured a worker whose loop has since been removed treats
-            # that (empty, drained) worker as a decline and carries on to
-            # the next shard, mirroring the simulated router's behaviour
-            # for detached engines.
-            return False
-        waited = perf_counter()
-        with loop.lock:
-            loop.lock_wait_seconds += perf_counter() - waited
-            return worker.dispatch(
-                loop.view,
-                automaton_name,
-                message,
-                source,
-                count_unrouted=False,
-                strict=strict,
-                trace=trace,
-            )
-
-    def _record_outcome(self, routed: bool) -> None:
-        # Runs on worker-loop threads (keyed, under that loop's lock) and
-        # on receiver threads (fan-out, under _route_lock): must use the
-        # leaf _stats_lock only, or the two callers deadlock each other.
-        with self._stats_lock:
-            super()._record_outcome(routed)
-
-    def _has_session(self, worker, key) -> bool:
-        # Pruning runs on a timer thread; worker session tables are only
-        # ever touched under the owning loop's lock (route_lock → loop.lock
-        # is the documented order, so taking it here is safe).
-        with self._loop_for(worker).lock:
-            return worker.has_session(key)
-
-    def _prune(self, engine: NetworkEngine) -> None:
-        with self._route_lock:
-            super()._prune(engine)
-
-
-class LiveShardedRuntime(ShardedRuntime):
-    """A sharded bridge deployment on real loopback sockets.
-
-    Construction mirrors :class:`~repro.runtime.runtime.ShardedRuntime`
-    (same models, same worker build), with socket-engine defaults:
-
-    * ``host`` defaults to ``127.0.0.1`` — on the socket engine hosts are
-      real addresses, so router and workers share the loopback host and
-      are distinguished by **port ranges**: the router's public endpoints
-      sit at ``base_port``, worker *i* claims ``base_port + (i+1) *
-      worker_port_stride``;
-    * ``ephemeral_ports`` defaults **on**: ``SocketNetwork.bind_endpoint``
-      binds kernel-assigned UDP ports after attach, so token-less upstream
-      legs send from per-session source ports and their replies are
-      attributed exactly (TCP legs keep the reply-channel attribution);
-    * ``serialize_processing`` defaults on, so ``processing_delay`` models
-      each worker's translation compute as a serial resource in *wall
-      time* — throughput then scales with the worker count for real, which
-      is what ``--table live-sharding`` measures.
-
-    :meth:`deploy` starts one :class:`WorkerLoop` thread per worker and
-    attaches a :class:`LiveShardRouter`; :meth:`undeploy` stops them.
-    Example (see ``examples/live_sharded_bridge.py`` for a complete run)::
-
-        runtime = LiveShardedRuntime.from_bridge(bridge, workers=4)
-        with SocketNetwork() as network:
-            runtime.deploy(network)
-            ...   # real legacy clients talk to the router's endpoints
-            runtime.undeploy()
-    """
-
-    #: Factory seams: the asyncio runtime (:mod:`repro.runtime.aio_live`)
-    #: swaps these for its single-loop task equivalents while inheriting
-    #: deploy/undeploy/scale/drain unchanged.
-    loop_class = WorkerLoop
-    router_class = LiveShardRouter
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("host", "127.0.0.1")
-        kwargs.setdefault("worker_port_stride", DEFAULT_WORKER_PORT_STRIDE)
-        kwargs.setdefault("ephemeral_ports", True)
-        kwargs.setdefault("serialize_processing", True)
-        super().__init__(*args, **kwargs)
-        if self.worker_port_stride < len(self.merged.automata):
-            raise ConfigurationError(
-                "worker_port_stride must cover one port per component automaton "
-                f"({len(self.merged.automata)} needed, got {self.worker_port_stride})"
-            )
-        if self.routing_delay > 0.0:
-            raise ConfigurationError(
-                "routing_delay models router compute on the simulated virtual "
-                "clock; on the live runtime the cost is *measured* (classify "
-                "seconds, route-lock wait) — a charge cannot be applied to "
-                "real sockets, so rejecting it beats silently ignoring it"
-            )
-        self._loops: List[WorkerLoop] = []
-        self._shells: List[_WorkerShell] = []
-        #: Worker-loop exceptions from undeployed generations, preserved so
-        #: post-run inspection survives the teardown in scenario drivers.
-        self._worker_error_log: List[BaseException] = []
-        #: Serialises rescale attempts: a second ``scale_to`` while one is
-        #: in flight is rejected, never queued.
-        self._scale_lock = threading.Lock()
-        self._scaling = False
-
-    @classmethod
-    def from_bridge(cls, bridge, workers: int = DEFAULT_WORKERS, **overrides):
-        """Build a live runtime from an (undeployed) bridge.
-
-        Unlike the simulated runtime this *does not* inherit the bridge's
-        ``host``: model-level bridge hosts (``starlink.bridge``) are not
-        bindable addresses, so the live runtime rebinds the public
-        endpoints at ``127.0.0.1`` (same ``base_port``) unless ``host`` is
-        overridden explicitly.  Per-session ephemeral source ports are on
-        by default — ``SocketNetwork.bind_endpoint`` binds kernel-assigned
-        UDP ports after attach, so token-less legs get exact reply
-        attribution live, as on the simulation.
-        """
-        overrides.setdefault("host", "127.0.0.1")
-        return super().from_bridge(bridge, workers=workers, **overrides)
-
-    # ------------------------------------------------------------------
-    def deploy(self, network: NetworkEngine) -> LiveShardRouter:
-        """Start the worker loops and attach shells + router to ``network``.
-
-        All-or-nothing: if any attach fails (an endpoint already bound,
-        say), the worker-loop threads already started and the shells
-        already attached are torn back down before the error propagates,
-        so a failed deploy leaks nothing and a retry starts clean.
-        """
-        if self._router is not None:
-            raise ConfigurationError(
-                f"live sharded runtime '{self.merged.name}' is already deployed"
-            )
-        # Live spans sit on the wall clock: stage durations and timeline
-        # positions share one domain here (unlike the simulation, where
-        # positions are virtual seconds).
-        self.tracer.use_clock(perf_counter, "perf_counter")
-        loops = [self.loop_class(worker, network) for worker in self._workers]
-        shells = [_WorkerShell(loop) for loop in loops]
-        router: Optional[LiveShardRouter] = None
-        try:
-            for loop, shell in zip(loops, shells):
-                loop.start()
-                network.attach(shell)
-            router = self.router_class(
-                self._workers,
-                self.public_endpoints,
-                loops,
-                name=f"live-router:{self.merged.name}",
-                worker_ids=self._worker_ids,
-                tracer=self.tracer,
-            )
-            network.attach(router)
-            for worker in self._workers:
-                worker.session_close_listener = router.note_session_closed
-        except BaseException:
-            # Detach the router and every shell, not only fully-attached
-            # nodes: an attach that raised mid-bind left its node
-            # registered on the network with some endpoints live, and
-            # detach is a no-op for never-attached nodes.
-            if router is not None:
-                network.detach(router)
-            for shell in shells:
-                network.detach(shell)
-            self._shutdown_loops(loops)
-            raise
-        self._loops = loops
-        self._shells = shells
-        self._router = router
-        self._network = network
-        return router
-
-    def undeploy(self) -> None:
-        """Detach from the network and stop the worker-loop threads.
-
-        Each loop thread is joined (bounded by
-        :data:`UNDEPLOY_JOIN_TIMEOUT`) after the stop sentinel is queued,
-        so jobs still draining finish — and their exceptions land in
-        :attr:`worker_errors` — before the runtime reports itself torn
-        down.  A loop that fails to exit in time is surfaced as a
-        ``RuntimeError`` in the error log rather than silently abandoned.
-        """
-        if self._network is not None:
-            if self._router is not None:
-                self._network.detach(self._router)
-            for shell in self._shells:
-                self._network.detach(shell)
-        for worker in self._workers:
-            worker.session_close_listener = None
-        self._shutdown_loops(self._loops)
-        if self._router is not None:
-            self._retire_router(self._router)
-        self._loops = []
-        self._shells = []
-        self._router = None
-        self._network = None
-
-    def _shutdown_loops(self, loops: Sequence[WorkerLoop]) -> None:
-        """Stop, join and harvest ``loops`` into the worker error log.
-
-        Shared by :meth:`undeploy` and :meth:`deploy`'s failure unwind, so
-        exceptions from jobs that drained during teardown — and evidence
-        of a loop thread that failed to exit — are preserved either way.
-        """
-        for loop in loops:
-            loop.stop()
-        for loop in loops:
-            if not loop.join(timeout=UNDEPLOY_JOIN_TIMEOUT):
-                self._worker_error_log.append(
-                    RuntimeError(
-                        f"worker loop '{loop.worker.name}' did not exit within "
-                        f"{UNDEPLOY_JOIN_TIMEOUT}s of teardown"
-                    )
-                )
-            self._worker_error_log.extend(loop.errors)
-
-    def scale_to(
-        self,
-        workers: int,
-        drain_timeout: float = DEFAULT_LIVE_DRAIN_TIMEOUT,
-        victims: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Resize a deployed live runtime in place, loss-free.
-
-        Growing starts fresh worker loops, attaches their shells, registers
-        the loops with the router and extends the ring — all before any new
-        key routes to them.  Shrinking **drains**: the ring stops handing
-        new correlation keys to the victim workers immediately (``victims``
-        names arbitrary worker ids; default: the pool suffix), then this
-        call *blocks* until their session tables and sticky pins empty
-        (worker loops signal progress after every job; idle-session
-        eviction bounds the wait), detaches them and compacts the pool.
-
-        Unlike the simulated runtime this is synchronous: when it returns,
-        the resize is complete.  A concurrent ``scale_to`` is rejected with
-        :class:`~repro.core.errors.ConfigurationError`; a drain that
-        exceeds ``drain_timeout`` restores full ring membership (no
-        session is ever abandoned) and raises
-        :class:`~repro.core.errors.EngineError`.
-        """
-        if workers <= 0:
-            raise ConfigurationError(
-                f"a sharded runtime needs at least one worker, got {workers}"
-            )
-        with self._scale_lock:
-            if self._scaling:
-                raise ConfigurationError(
-                    "a live rescale is already in progress; wait for it to "
-                    "complete before rescaling again"
-                )
-            if self._router is None or self._network is None:
-                raise ConfigurationError("scale_to requires a deployed runtime")
-            self._scaling = True
-        try:
-            current = len(self._workers)
-            if workers >= current and victims is not None:
-                # Mirror the simulated runtime: naming victims without a
-                # shrink is an error, never a silent no-op.
-                raise ConfigurationError(
-                    f"victims only apply when shrinking the pool "
-                    f"(target {workers}, current {current})"
-                )
-            if workers == current:
-                return
-            if workers > current:
-                self._grow_live(workers)
-            else:
-                self._shrink_live(
-                    self._check_victims(workers, victims), workers, drain_timeout
-                )
-        finally:
-            self._scaling = False
-
-    @property
-    def scaling_in_progress(self) -> bool:
-        return self._scaling
-
-    def _grow_live(self, target: int) -> None:
-        assert self._router is not None and self._network is not None
-        router: LiveShardRouter = self._router  # type: ignore[assignment]
-        before = len(self._workers)
-        added_loops: List[WorkerLoop] = []
-        added_shells: List[_WorkerShell] = []
-        try:
-            while len(self._workers) < target:
-                worker_id = self._allocate_worker_id()
-                worker = self._build_worker(worker_id)
-                loop = self.loop_class(worker, self._network)
-                shell = _WorkerShell(loop)
-                loop.start()
-                self._network.attach(shell)
-                router.add_loop(loop)
-                worker.session_close_listener = router.note_session_closed
-                self._workers.append(worker)
-                self._worker_ids.append(worker_id)
-                self._loops.append(loop)
-                self._shells.append(shell)
-                added_loops.append(loop)
-                added_shells.append(shell)
-            router.set_workers(self._workers, self._worker_ids)
-        except BaseException:
-            # Unwind the partial additions so the runtime stays consistent
-            # at its previous size and a retry starts clean.
-            for shell in added_shells:
-                self._network.detach(shell)
-            for loop in added_loops:
-                router.remove_loop(loop)
-                loop.worker.session_close_listener = None
-                if loop.worker in self._workers:
-                    index = self._workers.index(loop.worker)
-                    del self._workers[index]
-                    del self._worker_ids[index]
-                    del self._loops[index]
-                    del self._shells[index]
-            self._shutdown_loops(added_loops)
-            router.set_workers(self._workers, self._worker_ids)
-            raise
-        self._record_scale("grow", before, target)
-
-    def _shrink_live(
-        self, victims: List[int], target: int, drain_timeout: float
-    ) -> None:
-        assert self._router is not None and self._network is not None
-        router: LiveShardRouter = self._router  # type: ignore[assignment]
-        before = len(self._workers)
-        router.begin_drain(victims)
-        self._record_scale("drain-start", before, target)
-        deadline = time.monotonic() + drain_timeout
-        for worker_id in victims:
-            position = self._worker_ids.index(worker_id)
-            worker = self._workers[position]
-            loop = self._loops[position]
-            while True:
-                # Order matters: once no sticky entry pins a key to this
-                # worker, no *new* keyed delivery can be routed to it, so a
-                # subsequent observation of "no sessions, no queued jobs"
-                # is stable — a delivery posted before the unpin would
-                # still be visible in the queue depth.
-                if not router.drain_pending(worker_id):
-                    if self._worker_empty(loop, worker):
-                        break
-                if time.monotonic() >= deadline:
-                    router.cancel_drain()
-                    self._record_scale("drain-cancelled", before, before)
-                    raise EngineError(
-                        f"drain of worker '{worker.name}' did not complete "
-                        f"within {drain_timeout}s; ring membership restored, "
-                        "no session was abandoned"
-                    )
-                loop.wait_progress(LIVE_DRAIN_POLL_INTERVAL)
-        # Every victim is empty.  Rebuild the router's membership over the
-        # survivors FIRST: from this point no fan-out pass can capture a
-        # victim, so removing the victims' loops below can never abort a
-        # pass mid-flight (a receiver thread that raced us here would
-        # otherwise hit `_loop_for(victim)` after `remove_loop` and drop
-        # the datagram before the surviving workers were offered it).
-        survivor_ids = [wid for wid in self._worker_ids if wid not in victims]
-        survivors = [
-            self._workers[self._worker_ids.index(wid)] for wid in survivor_ids
-        ]
-        router.set_workers(survivors, survivor_ids)
-        # Now tear the victims down (identity membership means popping
-        # mid-list positions never disturbs the survivors).
-        for worker_id in victims:
-            position = self._worker_ids.index(worker_id)
-            shell = self._shells.pop(position)
-            self._network.detach(shell)
-            loop = self._loops.pop(position)
-            worker = self._pop_worker(worker_id)
-            self._shutdown_loops([loop])
-            self._retire_worker(worker)
-            router.remove_loop(loop)
-        self._record_scale("drain-complete", before, target)
-
-    def _worker_empty(self, loop: WorkerLoop, worker: AutomataEngine) -> bool:
-        """Whether a draining worker has no sessions and no queued jobs.
-
-        Taken under the loop lock so a job mid-execution (dequeued but not
-        yet done creating its session) cannot slip between the two reads.
-        The asyncio runtime overrides this to evaluate on the event loop,
-        where no job is ever mid-flight by construction.
-        """
-        with loop.lock:
-            return not worker.active_sessions and loop.queue_depth == 0
-
-    # ------------------------------------------------------------------
-    def post_to_worker(self, worker_id: int, job: Callable[[], None]) -> None:
-        """Enqueue ``job`` on one worker's loop (health pings, fault
-        injection); raises for an unknown id."""
-        if worker_id not in self._worker_ids:
-            raise ConfigurationError(f"no worker with id {worker_id!r}")
-        self._loops[self._worker_ids.index(worker_id)].post(job)
-
-    def ping_workers(self) -> None:
-        """Post a no-op job to every worker loop.
-
-        The loops stamp :attr:`WorkerLoop.heartbeat_at` after *every* job,
-        so pinging turns "has this loop made progress lately?" into a
-        question idle loops also answer — without pings an idle-but-fine
-        loop would look exactly like a wedged one.  The health controller
-        calls this once per probe tick.
-        """
-        for loop in list(self._loops):
-            loop.post(lambda: None)
-
-    def _worker_metrics(self, index, worker, now, draining, worker_id):
-        """The live worker row: engine state read under the loop lock,
-        plus the loop's queue depth and accumulated lock-wait time.
-
-        The lock is acquired *non-blocking*: a loop wedged inside a job
-        holds its lock for the whole stall, and a failure detector that
-        blocked here would go blind exactly when it matters.  When the
-        lock is unavailable the row is built from the lock-free signals
-        (queue depth, heartbeat age, error count, session-table sizes read
-        as heuristics) — precisely the probes that reveal the wedge.
-        """
-        loop = self._loops[index] if index < len(self._loops) else None
-        if loop is None:
-            return super()._worker_metrics(index, worker, now, draining, worker_id)
-        # Ring counters are lock-free reads (single-writer under the loop
-        # lock, but ints tear nowhere under the GIL) — safe even when the
-        # non-blocking acquire below fails on a wedged loop.
-        recorder = self.tracer.find(worker.name)
-        locked = loop.lock.acquire(blocking=False)
-        try:
-            return WorkerMetrics(
-                index=index,
-                name=worker.name,
-                active_sessions=len(worker.active_sessions),
-                completed_sessions=worker.completed_count,
-                evicted_sessions=worker.evicted_count,
-                busy_backlog=worker.busy_backlog(now),
-                draining=draining,
-                queue_depth=loop.queue_depth,
-                lock_wait_seconds=loop.lock_wait_seconds,
-                worker_id=worker_id,
-                discriminator_misses=worker.discriminator_misses,
-                garbage_rejects=worker.garbage_rejects,
-                errors=len(loop.errors),
-                heartbeat_age=max(0.0, now - loop.heartbeat_at),
-                spans_dropped=recorder.dropped if recorder is not None else 0,
-                span_seq_high=recorder.seq_high if recorder is not None else 0,
-            )
-        finally:
-            if locked:
-                loop.lock.release()
-
-    def metrics(self, include_latency: bool = True):
-        """The shard snapshot plus the socket substrate's error counters.
-
-        ``network_errors`` is the length of ``SocketNetwork.errors`` (loop
-        exceptions on receiver threads, send failures);
-        ``tcp_replies_dropped`` counts replies whose client connection had
-        already gone away.  Both land on the router row — they are
-        properties of the shared substrate, not of any one worker.
-        """
-        snapshot = super().metrics(include_latency=include_latency)
-        network = self._network
-        return replace(
-            snapshot,
-            router=replace(
-                snapshot.router,
-                network_errors=len(getattr(network, "errors", ()) or ()),
-                tcp_replies_dropped=int(
-                    getattr(network, "tcp_replies_dropped", 0) or 0
-                ),
-            ),
-        )
-
-    @property
-    def worker_errors(self) -> List[BaseException]:
-        """Exceptions raised on any worker loop (empty on a clean run).
-
-        Survives :meth:`undeploy`, so a scenario can tear the deployment
-        down before asserting the run was clean.
-        """
-        return self._worker_error_log + [
-            error for loop in self._loops for error in loop.errors
-        ]
-
-    def __repr__(self) -> str:
-        deployed = "deployed" if self._router is not None else "not deployed"
-        return (
-            f"LiveShardedRuntime({self.merged.name!r}, "
-            f"workers={len(self._workers)}, {deployed})"
         )

@@ -85,9 +85,6 @@ class WorkerMetrics:
     draining: bool = False
     #: Live runtime only: jobs waiting in the worker loop's queue.
     queue_depth: int = 0
-    #: Live runtime only: cumulative seconds threads spent waiting to
-    #: acquire this worker's loop lock (router fan-out contention).
-    lock_wait_seconds: float = 0.0
     #: The worker's stable membership id (survives pool compaction after
     #: an arbitrary-worker drain; ``index`` is just the list position).
     worker_id: int = -1
@@ -98,7 +95,7 @@ class WorkerMetrics:
     #: running any parser (garbage floods become cheap rejects).
     garbage_rejects: int = 0
     #: Live runtime only: exceptions the worker loop caught while running
-    #: jobs (``WorkerLoop.errors``); always 0 on the simulation.
+    #: jobs (``AsyncWorkerLoop.errors``); always 0 on the simulation.
     errors: int = 0
     #: Seconds since the worker last proved liveness: on the live runtime,
     #: since its loop last finished a job; on the simulation, since the
@@ -126,7 +123,6 @@ class WorkerMetrics:
             "busy_backlog_s": round(self.busy_backlog, 6),
             "draining": self.draining,
             "queue_depth": self.queue_depth,
-            "lock_wait_s": round(self.lock_wait_seconds, 6),
             "discriminator_misses": self.discriminator_misses,
             "garbage_rejects": self.garbage_rejects,
             "errors": self.errors,
@@ -151,9 +147,6 @@ class RouterMetrics:
     #: seconds even on the simulation: the router's compute is what this
     #: measures, not the virtual clock.
     classify_seconds: float
-    #: Live router only: cumulative seconds receiver threads waited for
-    #: the route lock before classifying (router-lock contention).
-    route_lock_wait_seconds: float = 0.0
     #: Simulated router only: cumulative *virtual* seconds of modelled
     #: router compute charged by the ``routing_delay`` busy-until clock
     #: (0.0 when the router cost is measured but not modelled).
@@ -165,10 +158,11 @@ class RouterMetrics:
     #: before any parser ran.
     garbage_rejects: int = 0
     #: Live runtime only: socket-layer errors the network recorded
-    #: (``SocketNetwork.errors``); always 0 on the simulation.
+    #: (``AsyncSocketNetwork.errors``); always 0 on the simulation.
     network_errors: int = 0
     #: Live runtime only: TCP replies dropped because the client
-    #: connection was already gone (``SocketNetwork.tcp_replies_dropped``).
+    #: connection was already gone
+    #: (``AsyncSocketNetwork.tcp_replies_dropped``).
     tcp_replies_dropped: int = 0
 
     @property
@@ -186,7 +180,6 @@ class RouterMetrics:
             "sticky_entries": self.sticky_entries,
             "classify_count": self.classify_count,
             "classify_cost_avg_us": round(self.classify_cost_avg_us, 2),
-            "route_lock_wait_s": round(self.route_lock_wait_seconds, 6),
             "charged_routing_s": round(self.charged_routing_seconds, 6),
             "discriminator_misses": self.discriminator_misses,
             "garbage_rejects": self.garbage_rejects,

@@ -36,8 +36,8 @@ is a serial resource, and the router hands datagrams over as fresh events.
 Throughput therefore scales with the worker count until the legacy
 protocol latencies dominate — the same shape a process-per-shard
 deployment shows on real hardware.  The same objects deploy unchanged on
-:class:`~repro.network.sockets.SocketNetwork`, where each worker's
-receiver threads provide the parallelism.
+real loopback sockets through
+:class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime`.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class ShardedRuntime:
     evaluation scenarios drive either deployment interchangeably.  Build
     one from an undeployed bridge with :meth:`from_bridge`, or directly
     from the models.  For a deployment over real sockets use the
-    :class:`~repro.runtime.live.LiveShardedRuntime` subclass, which runs
-    each worker on its own thread.
+    :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` subclass,
+    which runs each worker as a task on one event loop.
     """
 
     def __init__(
@@ -346,7 +346,7 @@ class ShardedRuntime:
         (now charged to the router, not worker 0) must survive so the
         post-teardown views stay complete.
         """
-        self._retired_parse_failures.extend(router.parse_failures)
+        extend_bounded(self._retired_parse_failures, router.parse_failures)
         self._retired_router_discriminator_hits += router.discriminator_hits
         self._retired_router_discriminator_misses += router.discriminator_misses
         self._retired_router_garbage_rejects += router.garbage_rejects
@@ -571,7 +571,7 @@ class ShardedRuntime:
         extend_bounded(self._retired_evicted, worker.evicted_sessions)
         self._retired_completed_count += worker.completed_count
         self._retired_evicted_count += worker.evicted_count
-        self._retired_parse_failures.extend(worker.parse_failures)
+        extend_bounded(self._retired_parse_failures, worker.parse_failures)
         self._retired_unrouted += worker.unrouted_datagrams
         self._retired_ignored += worker.ignored_datagrams
         self._retired_discriminator_hits += worker.discriminator_hits
@@ -793,8 +793,8 @@ class ShardedRuntime:
         draining: bool,
         worker_id: int,
     ) -> WorkerMetrics:
-        """One worker's load row (the live subclass reads under the loop
-        lock and adds queue depth and lock-wait time)."""
+        """One worker's load row (the live subclass adds its loop's queue
+        depth, error count and heartbeat age)."""
         recorder = self.tracer.find(worker.name)
         return WorkerMetrics(
             index=index,

@@ -16,6 +16,7 @@ from repro.core import history
 from repro.core.history import HISTORY_WINDOW, append_bounded, extend_bounded
 from repro.evaluation.harness import measure_connector_case
 from repro.evaluation.workloads import concurrent_scenario
+from repro.network.addressing import Endpoint, Transport
 from repro.network.latency import LatencyModel
 from repro.protocols.mdns import BonjourResponder
 
@@ -114,3 +115,31 @@ class TestShardedRuntime:
         assert len(runtime.sessions) < pools * 2 * small_window
         assert len(runtime.evicted_sessions) < pools * 2 * small_window
         assert _bounded(responder.handled, small_window)
+
+
+class TestParseFailures:
+    def test_reject_log_stays_bounded_and_reject_count_exact(
+        self, small_window, network
+    ):
+        """Junk aimed at a worker fills its ``parse_failures`` window, not
+        memory: the log keeps the window (the drain-retired aggregate
+        too) while ``garbage_rejects`` counts every reject."""
+        runtime = deploy_case2(network, workers=2, serialize=False)
+        junk_source = Endpoint("junk.local", 9999, Transport.UDP)
+        rejects = 10 * small_window
+        for victim in runtime.workers:
+            target = victim.unicast_endpoints()[0]
+            for _ in range(rejects):
+                network.send(b"\xff" * 4, source=junk_source, destination=target)
+        network.run()
+
+        for worker in runtime.workers:
+            assert worker.garbage_rejects == rejects
+            assert _bounded(worker.parse_failures, small_window)
+            assert len(worker.parse_failures) >= small_window
+        runtime.remove_worker(1)
+        network.run()
+        assert runtime.worker_ids == [0]
+        assert runtime.garbage_rejects == 2 * rejects
+        assert _bounded(runtime._retired_parse_failures, small_window)
+        assert len(runtime.parse_failures) < 2 * 2 * small_window

@@ -11,9 +11,9 @@ ceilings can never trip the detector, however long it is probed.
 
 The controller half deploys real runtimes and injects real faults: a
 wedged simulated worker (stalled busy-until clock) and a wedged live
-worker loop (a blocking job) must each be detected and replaced **within
+worker loop (a stalling job) must each be detected and replaced **within
 the configured probe budget** by the controller alone.  The
-``FaultyNetwork`` tests pin the seeded injector's determinism and its
+``AsyncFaultyNetwork`` tests pin the seeded injector's determinism and its
 loss-window bounds: same seed → the same drop/dup/reorder trace, and no
 fault ever leaks outside a window.
 """
@@ -37,18 +37,14 @@ from repro.bridges.specs import BRIDGE_BUILDERS
 from repro.core.errors import ConfigurationError
 from repro.network.addressing import Endpoint, Transport
 from repro.network.simulated import SimulatedNetwork
-from repro.network.sockets import (
-    FaultPlan,
-    FaultyNetwork,
-    SocketNetwork,
-    loopback_available,
-)
+from repro.network.aio import AsyncFaultyNetwork, AsyncSocketNetwork
+from repro.network.sockets import FaultPlan, loopback_available
 from repro.runtime import (
     FailureDetector,
     HealthController,
     HealthPolicy,
     LiveHealthController,
-    LiveShardedRuntime,
+    AsyncLiveShardedRuntime,
     ShardedRuntime,
     wedge_live_worker,
     wedge_simulated_worker,
@@ -394,7 +390,7 @@ class TestSimulatedController:
 @live_only
 class TestLiveController:
     def test_wedged_live_loop_detected_and_replaced_within_probe_budget(self):
-        """The same regression over real sockets: a worker loop blocked in
+        """The same regression over real sockets: a worker loop stalled in
         a job stops stamping heartbeats; the control thread notices and
         replaces it while the data path keeps running."""
         policy = HealthPolicy(
@@ -403,13 +399,13 @@ class TestLiveController:
             fail_after=3,
             cooldown=1.0,
         )
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47200), workers=2
         )
         controller = LiveHealthController(
             runtime, FailureDetector(policy), interval=0.05
         )
-        with SocketNetwork() as network:
+        with AsyncSocketNetwork() as network:
             runtime.deploy(network)
             try:
                 controller.start()
@@ -444,7 +440,7 @@ class TestLiveController:
                 runtime.undeploy()
 
     def test_wedge_injector_rejects_negative_duration(self):
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47300), workers=1
         )
         with pytest.raises(ConfigurationError):
@@ -498,7 +494,7 @@ class TestFaultyNetwork:
         sock, destination = self._receiver()
 
         def run(seed):
-            network = FaultyNetwork(seed=seed)
+            network = AsyncFaultyNetwork(seed=seed)
             try:
                 network.open_loss_window()
                 for index in range(40):
@@ -524,12 +520,12 @@ class TestFaultyNetwork:
             sock.close()
 
     def test_faults_never_leak_outside_a_window(self):
-        """Outside a window the engine is a plain SocketNetwork: no
+        """Outside a window the engine is a plain AsyncSocketNetwork: no
         verdicts drawn, nothing counted — and closing a window flushes the
         held (reordered) datagram, so the one-slot swap cannot leak."""
         source = Endpoint("127.0.0.1", 45996, Transport.UDP)
         sock, destination = self._receiver()
-        network = FaultyNetwork(seed=1, loss=0.0, duplicate=0.0, reorder=1.0)
+        network = AsyncFaultyNetwork(seed=1, loss=0.0, duplicate=0.0, reorder=1.0)
         try:
             network._send_udp(b"before", source, destination)
             assert network.decisions == []

@@ -1,14 +1,14 @@
-"""Tests for the live sharded runtime (thread-per-worker over real sockets).
+"""Tests for the live sharded runtime (worker loops on one event loop).
 
 These run the same workloads as the simulated sharding tests, but over
-:class:`~repro.network.sockets.SocketNetwork` with real loopback datagrams
-and wall-clock time.  Skipped automatically where loopback sockets cannot
-be bound.
+:class:`~repro.network.aio.AsyncSocketNetwork` with real loopback
+datagrams and wall-clock time.  Skipped automatically where loopback
+sockets cannot be bound.
 """
 
 from __future__ import annotations
 
-import threading
+import asyncio
 
 import pytest
 
@@ -16,8 +16,9 @@ from repro.bridges.specs import BRIDGE_BUILDERS
 from repro.core.errors import ConfigurationError, NetworkError
 from repro.evaluation.harness import measure_live_sharded_sessions
 from repro.evaluation.workloads import live_sharded_scenario, live_twin_scenario
-from repro.network.sockets import SocketNetwork, loopback_available
-from repro.runtime import LiveShardedRuntime
+from repro.network.aio import AsyncSocketNetwork
+from repro.network.sockets import loopback_available
+from repro.runtime import AsyncLiveShardedRuntime
 
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
@@ -64,14 +65,14 @@ def test_from_bridge_rebinds_model_level_hosts_on_loopback():
     """A bridge built with the default model host must still deploy live."""
     from repro.bridges.specs import upnp_to_slp_bridge
 
-    runtime = LiveShardedRuntime.from_bridge(
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         upnp_to_slp_bridge(base_port=45900), workers=2
     )
     assert runtime.host == "127.0.0.1"
-    # Per-session ephemeral ports default on live: SocketNetwork can bind
-    # kernel-assigned UDP ports after attach.
+    # Per-session ephemeral ports default on live: the socket engine can
+    # bind kernel-assigned UDP ports after attach.
     assert runtime.ephemeral_ports
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         runtime.deploy(network)
         assert all(
             endpoint.host == "127.0.0.1"
@@ -83,10 +84,10 @@ def test_from_bridge_rebinds_model_level_hosts_on_loopback():
 def test_live_runtime_rescales_in_place_both_directions():
     """`scale_to` is implemented live: grow attaches fresh worker loops,
     shrink drains (trivially here: no sessions in flight)."""
-    runtime = LiveShardedRuntime.from_bridge(
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=46000), workers=2
     )
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         runtime.deploy(network)
         try:
             runtime.scale_to(4)
@@ -103,63 +104,19 @@ def test_live_runtime_rescales_in_place_both_directions():
 
 def test_live_runtime_requires_room_for_worker_ports():
     with pytest.raises(ConfigurationError):
-        LiveShardedRuntime.from_bridge(
+        AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[1](host="127.0.0.1", base_port=46100),
             workers=2,
             worker_port_stride=1,
         )
 
 
-def test_record_outcome_never_needs_the_route_lock():
-    """Regression for a lock-order-inversion deadlock.
-
-    A worker-loop thread records keyed outcomes while holding its
-    ``loop.lock``; a receiver thread can simultaneously hold
-    ``_route_lock`` and wait for that same ``loop.lock`` on the inline
-    fan-out path.  ``_record_outcome`` must therefore never acquire
-    ``_route_lock`` — the counters live under their own leaf lock.
-    """
-    runtime = LiveShardedRuntime.from_bridge(
-        BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=46300), workers=2
-    )
-    with SocketNetwork() as network:
-        router = runtime.deploy(network)
-        held = threading.Event()
-        release = threading.Event()
-
-        def hold_route_lock() -> None:
-            with router._route_lock:
-                held.set()
-                release.wait(5.0)
-
-        holder = threading.Thread(target=hold_route_lock, daemon=True)
-        holder.start()
-        assert held.wait(2.0)
-        recorded = threading.Event()
-
-        def record() -> None:
-            router._record_outcome(True)
-            router._record_outcome(False)
-            recorded.set()
-
-        recorder = threading.Thread(target=record, daemon=True)
-        recorder.start()
-        try:
-            assert recorded.wait(2.0), "_record_outcome blocked on _route_lock"
-        finally:
-            release.set()
-            holder.join(2.0)
-        assert router.routed_datagrams == 1
-        assert router.unrouted_datagrams == 1
-        runtime.undeploy()
-
-
 def test_undeploy_joins_loops_and_harvests_draining_errors():
     """Errors from jobs still draining at undeploy must not be lost."""
-    runtime = LiveShardedRuntime.from_bridge(
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=46400), workers=2
     )
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         runtime.deploy(network)
         loops = list(runtime._loops)
 
@@ -169,15 +126,15 @@ def test_undeploy_joins_loops_and_harvests_draining_errors():
         for loop in loops:
             loop.post(boom)
         runtime.undeploy()
-        assert all(not loop._thread.is_alive() for loop in loops)
+        assert all(loop.finished.is_set() for loop in loops)
         messages = [str(error) for error in runtime.worker_errors]
         assert messages.count("draining job") == len(loops)
 
 
 def test_failed_deploy_unwinds_loops_and_shells():
-    """A deploy that dies mid-attach must leak neither threads nor shells."""
+    """A deploy that dies mid-attach must leak neither loops nor shells."""
 
-    class RouterRejectingNetwork(SocketNetwork):
+    class RouterRejectingNetwork(AsyncSocketNetwork):
         def __init__(self):
             super().__init__()
             self.reject_router = True
@@ -189,7 +146,7 @@ def test_failed_deploy_unwinds_loops_and_shells():
                 raise NetworkError("injected attach failure")
             super().attach(node)
 
-    runtime = LiveShardedRuntime.from_bridge(
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=46500), workers=2
     )
     with RouterRejectingNetwork() as network:
@@ -199,17 +156,27 @@ def test_failed_deploy_unwinds_loops_and_shells():
         assert runtime._loops == []
         assert runtime._shells == []
         assert network._nodes == []
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("worker-loop:") and thread.is_alive()
-        ]
+        assert _worker_loop_tasks(network) == []
         # Detach closed the shells' sockets, so the very same network can
         # host the retry — the worker ports (TCP listeners included, this
         # bridge has an HTTP leg) re-bind cleanly.
         network.reject_router = False
         runtime.deploy(network)
         runtime.undeploy()
+
+
+def _worker_loop_tasks(network):
+    """The worker-loop drain tasks still alive on ``network``'s loop."""
+
+    async def running():
+        return [
+            task
+            for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__ == "AsyncWorkerLoop._run"
+        ]
+
+    future = asyncio.run_coroutine_threadsafe(running(), network.loop)
+    return future.result(timeout=5.0)
 
 
 class Blocker:
@@ -236,17 +203,17 @@ class Blocker:
 def test_partially_attached_shell_is_unwound_too():
     """An attach that raises mid-bind must still be cleaned up on unwind.
 
-    ``SocketNetwork.attach`` is not atomic: it registers the node, then
+    ``AsyncSocketNetwork.attach`` is not atomic: it registers the node, then
     binds endpoint by endpoint.  If a later endpoint is already bound, the
     shell stays registered with its earlier sockets live — the unwind must
     detach it (and detach must close those sockets) even though deploy
     never saw the attach succeed.
     """
-    runtime = LiveShardedRuntime.from_bridge(
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=46600), workers=2
     )
     blocked = runtime._workers[-1].unicast_endpoints()[-1]
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         blocker = Blocker(blocked)
         network.attach(blocker)
         with pytest.raises(NetworkError):
@@ -268,11 +235,11 @@ def test_partially_attached_router_is_unwound_too():
     detach it too, or its stale bindings block every retry on the same
     network forever (the runtime holds no reference to the dead router).
     """
-    runtime = LiveShardedRuntime.from_bridge(
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=46700), workers=2
     )
     blocked = list(runtime.public_endpoints.values())[-1]
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         blocker = Blocker(blocked)
         network.attach(blocker)
         with pytest.raises(NetworkError):
@@ -285,14 +252,14 @@ def test_partially_attached_router_is_unwound_too():
 
 
 def test_live_runtime_redeploys_after_undeploy():
-    runtime = LiveShardedRuntime.from_bridge(
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=46200), workers=2
     )
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         runtime.deploy(network)
         with pytest.raises(ConfigurationError):
             runtime.deploy(network)
         runtime.undeploy()
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         runtime.deploy(network)
         runtime.undeploy()

@@ -1,12 +1,10 @@
-"""Tests for the loopback socket network engines.
+"""Tests for the loopback socket network engine.
 
-The contract suite runs twice — once against the thread-per-socket
-:class:`SocketNetwork` and once against the event-loop
-:class:`AsyncSocketNetwork` — because the two engines promise the same
-``NetworkEngine`` behaviour on different substrates.  All tests exercise
-real UDP/TCP sockets on 127.0.0.1 plus the in-process multicast
-emulation, and are skipped automatically when the environment forbids
-binding loopback sockets (some sandboxes do).
+The contract suite runs against the event-loop :class:`AsyncSocketNetwork`
+through the ``make_network`` fixture (one ``[aio]`` case per test).  All
+tests exercise real UDP/TCP sockets on 127.0.0.1 plus the in-process
+multicast emulation, and are skipped automatically when the environment
+forbids binding loopback sockets (some sandboxes do).
 """
 
 from __future__ import annotations
@@ -20,13 +18,13 @@ import pytest
 from repro.network.addressing import Endpoint, Transport
 from repro.network.aio import AsyncSocketNetwork
 from repro.network.engine import NetworkNode
-from repro.network.sockets import SocketNetwork, bind_udp_socket, loopback_available
+from repro.network.sockets import bind_udp_socket, loopback_available
 
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
 )
 
-ENGINES = {"thread": SocketNetwork, "aio": AsyncSocketNetwork}
+ENGINES = {"aio": AsyncSocketNetwork}
 
 
 @pytest.fixture(params=sorted(ENGINES))
@@ -79,7 +77,7 @@ class DelayedEchoTcp(Sink):
 
     This is the shape of every bridged TCP exchange: the automata engine
     schedules the translated response behind its processing delay (and a
-    shard router first hands the request to a worker thread), so the reply
+    shard router first hands the request to a worker loop), so the reply
     is sent long after ``on_datagram`` returned.  The engine must keep the
     accepted connection open as the reply channel until then.
     """
@@ -205,41 +203,41 @@ def test_tcp_unanswered_connection_closes_after_reply_timeout(make_network):
 def test_reply_after_channel_close_is_dropped_not_raised():
     """Regression: a reply losing the race against the handler's timeout.
 
-    ``send()`` can fetch the reply channel just before the handler's
-    ``finally`` pops and closes it; the write must then be counted as a
-    dropped reply, not raise on (and kill) the sending timer thread, and
-    not fall through to dialling the peer's kernel-ephemeral port.
-
-    Thread engine only — it pokes the engine's internals.  The async
-    engine's equivalent race is covered by
-    ``test_delayed_reply_past_timeout_lands_in_error_log``, which runs on
-    both engines.
+    ``send()`` can fetch the reply channel just after the handler
+    retired it (the reply window expired) but before it was unregistered;
+    the write must then be counted as a dropped reply, not raise, and not
+    fall through to dialling the peer's kernel-ephemeral port.  Pokes the
+    engine's internals to pin that window open.
     """
-    from repro.network.sockets import _TcpReplyChannel
+    from repro.network.aio import _AsyncTcpReplyChannel
 
-    with SocketNetwork() as network:
-        a, b = socket.socketpair()
-        channel = _TcpReplyChannel(a)
-        channel.close()
-        b.close()
-        peer = ("127.0.0.1", 54321)
-        with network._lock:
-            network._tcp_replies[peer] = channel
-        network._send_tcp(
+    class ClosedWriter:
+        def is_closing(self):
+            return True
+
+        def write(self, data):  # pragma: no cover - must never be reached
+            raise AssertionError("wrote on a closed reply channel")
+
+    with AsyncSocketNetwork() as network:
+        channel = _AsyncTcpReplyChannel(ClosedWriter())
+        channel.retire()
+        peer = ("127.0.0.1", _free_port())
+        network._tcp_replies[peer] = channel
+        network.send(
             b"too late",
             Endpoint("127.0.0.1", 1, Transport.UDP),
             Endpoint(peer[0], peer[1], Transport.TCP),
         )
         assert network.tcp_replies_dropped == 1
+        assert network.errors == []
 
 
 def test_delayed_reply_past_timeout_lands_in_error_log(make_network):
     """A delayed send that misses the reply window must not vanish.
 
     Once the handler has popped (or retired) the channel, the engine falls
-    back to dialling the peer's ephemeral port and fails; on a timer
-    thread that exception used to be silently dropped — it now lands in
-    the engine's ``errors`` list like ``WorkerLoop.errors``.
+    back to dialling the peer's ephemeral port and fails; that exception
+    lands in the engine's ``errors`` list like ``AsyncWorkerLoop.errors``.
     """
     with make_network(tcp_reply_timeout=0.1) as network:
         port = _free_port()
@@ -304,11 +302,10 @@ def test_now_is_monotonic_and_call_later_fires(make_network):
 def test_fired_timers_are_pruned(make_network):
     """Regression: ``call_later`` must not accumulate fired timers.
 
-    The thread engine used to append every ``threading.Timer`` to
-    ``_timers`` and only clear the list in ``close()`` — a long-lived
-    deployment scheduling periodic work (eviction sweeps, telemetry
-    ticks) leaked one Timer thread object per tick, unbounded.  Both
-    engines now remove a timer from the registry when it fires.
+    A long-lived deployment schedules periodic work (eviction sweeps,
+    telemetry ticks); a registry that kept spent timers until ``close()``
+    would grow by one entry per tick, unbounded.  The engine removes a
+    timer from the registry when it fires.
     """
     with make_network() as network:
         fired = []
@@ -399,8 +396,7 @@ def test_tcp_pipelined_second_exchange_same_connection():
 
     A raw client sends a request, reads the reply, then — without
     reconnecting — sends a second request and reads its reply.  The
-    thread engine closes after one exchange (connection-per-request);
-    the async handler loops: read → dispatch → await reply → read again.
+    handler loops: read → dispatch → await reply → read again.
     """
     with AsyncSocketNetwork(tcp_reply_timeout=2.0) as network:
         port = _free_port()
